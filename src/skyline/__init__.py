@@ -17,11 +17,10 @@ from .words import (col_word, column_sets, content, is_contre_lattice,
                     row_word)
 from .contretab import (ContreTableau, is_ct, is_lr_skew_ct, rho, rho_inv,
                         super_ct)
-from .enumgen import (EnumQuery, count_lrc, enum_ct, enum_lrk, enum_lrs,
-                      enum_ssc, enum_ssk, enum_ssk_shape, lrc_representatives,
-                      reshape)
-from .poly import (Polynomial, atom_poly, char_poly, expand_in_atoms,
-                   expand_in_atoms_solve, qs_poly, schur_poly)
+from .enumgen import (count_lrc, enum_ct, enum_lrk, enum_lrs, enum_ssc,
+                      enum_ssk_shape, lrc_representatives, reshape)
+from .poly import (Polynomial, atom_poly, char_poly, expand_in_atoms, qs_poly,
+                   schur_poly)
 from .lrrules import (ExpansionReport, coeff_a, coeff_b, coeff_classical,
                       coeff_qs, pieri_single_box, sweep,
                       verify_atom_theorem, verify_char_theorem,

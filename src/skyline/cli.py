@@ -2,15 +2,13 @@
 tableaux, run verification sweeps, render diagrams, and expand products.
 
 Exit codes: 0 success (all verifications passed), 1 verification failure,
-2 usage or parse error.  Output is deterministic; SKYLINE_THREADS caps the
-worker count used by sweeps.
+2 usage or parse error.  Output is deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import SkylineError
@@ -23,14 +21,6 @@ from .poly import atom_poly, char_poly, qs_poly, schur_poly
 from .shapes import parse_sequence
 
 DEFAULT_BOUNDS = {"max_n": 3, "max_size": 3, "max_lambda": 2}
-
-
-def _thread_count(requested: int | None) -> int:
-    cap = os.environ.get("SKYLINE_THREADS")
-    cap = int(cap) if cap else None
-    if requested is None:
-        return cap or 1
-    return min(requested, cap) if cap else requested
 
 
 def _cmd_compute(args) -> int:
@@ -82,10 +72,9 @@ def _cmd_verify(args) -> int:
               "exhaustive sweeps grow quickly", file=sys.stderr)
     suites = (["atoms", "chars", "qs", "consistency"]
               if args.suite == "all" else [args.suite])
-    threads = _thread_count(args.threads)
     results = []
     for suite in suites:
-        results.extend(sweep(suite, threads=threads, **bounds))
+        results.extend(sweep(suite, **bounds))
     failures = [r for r in results if not r[1]]
     if args.json:
         print(json.dumps([{"instance": label, "ok": ok, "detail": detail}
@@ -158,8 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=DEFAULT_BOUNDS["max_n"])
     p.add_argument("--max-size", type=int, default=DEFAULT_BOUNDS["max_size"])
     p.add_argument("--max-lambda", type=int, default=DEFAULT_BOUNDS["max_lambda"])
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (capped by SKYLINE_THREADS)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

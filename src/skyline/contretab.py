@@ -34,7 +34,10 @@ class ContreTableau:
         self.inner = Partition(p for p in inner if p > 0)
         if any(i > o for i, o in zip(inner, self.outer)):
             raise InvalidShape(f"inner {inner} not inside {tuple(self.outer)}")
-        self.rows = tuple(tuple(int(v) for v in row) for row in rows)
+        try:
+            self.rows = tuple(tuple(int(v) for v in row) for row in rows)
+        except (ValueError, OverflowError) as exc:
+            raise InvalidFilling(f"entries must be integers ({exc})") from None
         if len(self.rows) != len(self.outer):
             raise InvalidShape(
                 f"expected {len(self.outer)} rows, got {len(self.rows)}")

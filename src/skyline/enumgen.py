@@ -2,16 +2,17 @@
 Littlewood-Richardson tableau families, plus the shape-rearrangement
 construction that underlies the equivalence-class counts.
 
-Generation is backtracking in row reading order (bottom row first, left
-to right).  With that order every triple of the diagram becomes checkable
-exactly when its last data cell is placed, so each cell carries a
-precompiled list of triple checks and candidate entries are pruned
-against the left neighbor and the remaining content budget.
+All generators share one backtracking engine, `_search`, which uses an
+explicit stack, so no shape size meets the recursion limit.  Each
+generator only lays out its grid and two per-cell tables: the cells that
+cap each entry, and the triple checks that become decidable once the cell
+is placed.  Skyline fillings are placed in row reading order (bottom row
+first, left to right), in which every triple becomes checkable exactly
+when its last data cell is placed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import (InvalidShape, NotContreLattice, NotRearrangement,
@@ -22,123 +23,101 @@ from .fillings import (BasementKind, Filling, SkewShape, basement_values,
 from .shapes import Composition, WeakComposition, pad, placements
 from .words import col_word, is_contre_lattice, is_regular_contre_lattice
 
-
-@dataclass(frozen=True)
-class EnumQuery:
-    """Parameters of one skyline filling enumeration."""
-
-    shape: SkewShape
-    basement: BasementKind
-    content: tuple[int, ...] | None = None
-    require_contre_lattice: bool = False
-    require_regular: bool = False
+Cell = tuple[int, int]  # (row, column) index into the grid
 
 
-def _raw_fillings(shape: SkewShape, bvals: Sequence[int], n: int,
-                  content: Sequence[int] | None) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield the data rows of every filling with weakly decreasing rows
-    and all triples inverted.  Deterministic order: cells in row reading
-    order, candidate entries descending."""
-    outer, inner = shape.outer, shape.inner
-    nrows = shape.nrows
-    if content is not None:
-        if sum(content) != shape.size:
-            return
-        budget = list(content) + [0] * max(0, n - len(content))
-        budget = budget[:n]
-    else:
+def _search(grid: list[list[int]], cells: Sequence[Cell],
+            caps: Sequence[Sequence[tuple[int, int, int]]],
+            checks: Sequence[Sequence[tuple[Cell, Cell, Cell]]], n: int,
+            content: Sequence[int] | None = None) -> Iterator[None]:
+    """Assign entries in [1, n] to `cells`, in order, in every way that
+    respects the caps, the triple checks and the exact content, if given.
+
+    The entry at cell t is at most grid[r][c] - offset for each
+    (r, c, offset) in caps[t], and every triple in checks[t] must be an
+    inversion triple once it is placed.  The cells must hold 0 on entry,
+    and 0 marks a cell not yet placed.  Yields once per complete
+    assignment, with the grid holding it.  Cells are placed in the given
+    order and candidate entries tried in descending order.
+    """
+    if content is None:
         budget = None
-
-    # grid[i][k], 1-based rows, column 0 = basement.
-    grid: list[list[int]] = [[0] * (outer[i] + 1) for i in range(nrows)]
-    for i in range(nrows):
-        for k in range(0, inner[i] + 1):
-            grid[i][k] = bvals[i]
-
-    cells = [(i, k) for i in range(nrows, 0, -1)
-             for k in range(inner[i - 1] + 1, outer[i - 1] + 1)]
-    order = {cell: t for t, cell in enumerate(cells)}
-
-    # Bin each triple on its last data cell in fill order; triples made of
-    # basement and inner cells only are constant and checked up front.
-    checks: list[list[tuple[tuple[int, int], tuple[int, int], tuple[int, int]]]] = [
-        [] for _ in cells]
-    for tr in enumerate_triples(shape):
-        members = [tr.a, tr.b, tr.c]
-        data = [m for m in members if m in order]
-        if not data:
-            a, b, c = (grid[m[0] - 1][m[1]] for m in members)
-            if not is_inversion(a, b, c):
-                return
-            continue
-        checks[max(order[m] for m in data)].append((tr.a, tr.b, tr.c))
-
-    ncells = len(cells)
-    if ncells == 0:
-        yield tuple(() for _ in range(nrows))
+    elif sum(content) != len(cells):
         return
-
-    def snapshot() -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(grid[i][inner[i] + 1: outer[i] + 1])
-                     for i in range(nrows))
-
-    def fill(t: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    else:
+        budget = (list(content) + [0] * n)[:n]
+    t = 0
+    while t >= 0:
+        if t == len(cells):
+            yield
+            t -= 1
+            continue
         i, k = cells[t]
-        row = grid[i - 1]
-        cell_checks = checks[t]
-        top = min(n, row[k - 1])  # the left neighbor always exists
-        for v in range(top, 0, -1):
-            if budget is not None:
-                if budget[v - 1] == 0:
-                    continue
-                budget[v - 1] -= 1
-            row[k] = v
-            ok = True
-            for pa, pb, pc in cell_checks:
-                if not is_inversion(grid[pa[0] - 1][pa[1]],
-                                    grid[pb[0] - 1][pb[1]],
-                                    grid[pc[0] - 1][pc[1]]):
-                    ok = False
-                    break
-            if ok:
-                if t + 1 == ncells:
-                    yield snapshot()
-                else:
-                    yield from fill(t + 1)
+        row = grid[i]
+        v = row[k]
+        if v:  # back at cell t: release its entry and try the next lower one
             if budget is not None:
                 budget[v - 1] += 1
-        row[k] = 0
-
-    yield from fill(0)
-
-
-def enum_ssk(query: EnumQuery) -> Iterator[Filling]:
-    """All semistandard skyline fillings matching the query, each once."""
-    shape, kind = query.shape, query.basement
-    n = shape.nrows
-    bvals = basement_values(kind, n)
-    for rows in _raw_fillings(shape, bvals, n, query.content):
-        f = Filling(shape, kind, rows)
-        if query.require_contre_lattice or query.require_regular:
-            w = col_word(f)
-            if query.require_regular:
-                if not is_regular_contre_lattice(w):
-                    continue
-            elif not is_contre_lattice(w):
-                continue
-        yield f
+            v -= 1
+        else:  # first visit since the cells before t changed
+            v = n
+            for r, c, offset in caps[t]:
+                v = min(v, grid[r][c] - offset)
+        while v > 0:
+            if budget is None or budget[v - 1]:
+                row[k] = v
+                for (ra, ca), (rb, cb), (rc, cc) in checks[t]:
+                    if not is_inversion(grid[ra][ca], grid[rb][cb], grid[rc][cc]):
+                        break
+                else:
+                    break
+            v -= 1
+        if v > 0:
+            if budget is not None:
+                budget[v - 1] -= 1
+            t += 1
+        else:
+            row[k] = 0
+            t -= 1
 
 
 def enum_ssk_shape(outer: Sequence[int], basement: BasementKind,
                    inner: Sequence[int] | None = None,
                    content: Sequence[int] | None = None,
-                   require_contre_lattice: bool = False,
                    require_regular: bool = False) -> Iterator[Filling]:
-    """Convenience wrapper building the EnumQuery from raw shapes."""
-    q = EnumQuery(SkewShape(outer, inner), basement,
-                  None if content is None else tuple(content),
-                  require_contre_lattice, require_regular)
-    return enum_ssk(q)
+    """All semistandard skyline fillings of shape outer/inner on the given
+    basement, each once, optionally with exact content; with
+    require_regular, only those whose column word is regular
+    contre-lattice."""
+    shape = SkewShape(outer, inner)
+    outer, inner, n = shape.outer, shape.inner, shape.nrows
+    bvals = basement_values(basement, n)
+    # grid[i][k] for 0-based row i; column 0 and the inner cells hold the
+    # basement value of the row.
+    grid = [[bvals[i]] * (inner[i] + 1) + [0] * (outer[i] - inner[i])
+            for i in range(n)]
+    cells = [(i, k) for i in range(n - 1, -1, -1)
+             for k in range(inner[i] + 1, outer[i] + 1)]
+    order = {cell: t for t, cell in enumerate(cells)}
+    # the left neighbor always exists: a data, inner or basement cell
+    caps = [[(i, k - 1, 0)] for i, k in cells]
+    # Bin each triple on its last data cell in fill order; triples made of
+    # basement and inner cells only are constant and checked up front.
+    checks: list[list[tuple[Cell, Cell, Cell]]] = [[] for _ in cells]
+    for tr in enumerate_triples(shape):
+        members = tuple((r - 1, c) for r, c in (tr.a, tr.b, tr.c))
+        data = [order[m] for m in members if m in order]
+        if not data:
+            if not is_inversion(*(grid[r][c] for r, c in members)):
+                return
+            continue
+        checks[max(data)].append(members)
+
+    for _ in _search(grid, cells, caps, checks, n, content):
+        f = Filling(shape, basement,
+                    [grid[i][inner[i] + 1:] for i in range(n)])
+        if not require_regular or is_regular_contre_lattice(col_word(f)):
+            yield f
 
 
 def enum_lrs(delta: Sequence[int], gamma: Sequence[int],
@@ -245,46 +224,22 @@ def enum_ct(outer: Sequence[int], inner: Sequence[int] = (), *, n: int,
     inner = tuple(inner) + (0,) * (len(outer) - len(inner))
     if any(i > o for i, o in zip(inner, outer)):
         raise InvalidShape(f"inner {inner} not inside {outer}")
-    ncells = sum(o - i for o, i in zip(outer, inner))
-    if content is not None:
-        content = tuple(content)
-        if sum(content) != ncells:
-            return
-        budget = (list(content) + [0] * max(0, n - len(content)))[:n]
-    else:
-        budget = None
-
     nrows = len(outer)
-    grid = [[0] * (outer[i] + 1) for i in range(nrows)]  # col 0 unused
-    cells = [(r, c) for r in range(1, nrows + 1)
-             for c in range(inner[r - 1] + 1, outer[r - 1] + 1)]
-
-    def ct_rows():
-        return [tuple(grid[r - 1][inner[r - 1] + 1: outer[r - 1] + 1])
-                for r in range(1, nrows + 1)]
-
-    def fill(t: int) -> Iterator[ContreTableau]:
-        if t == len(cells):
-            yield ContreTableau(outer, ct_rows(), inner)
-            return
-        r, c = cells[t]
-        top = n
-        if c - 1 >= inner[r - 1] + 1:
-            top = min(top, grid[r - 1][c - 1])
-        if r > 1 and inner[r - 2] < c <= outer[r - 2]:
-            top = min(top, grid[r - 2][c] - 1)
-        for v in range(top, 0, -1):
-            if budget is not None:
-                if v > len(budget) or budget[v - 1] == 0:
-                    continue
-                budget[v - 1] -= 1
-            grid[r - 1][c] = v
-            yield from fill(t + 1)
-            grid[r - 1][c] = 0
-            if budget is not None:
-                budget[v - 1] += 1
-
-    yield from fill(0)
+    grid = [[0] * (outer[r] + 1) for r in range(nrows)]  # col 0 unused
+    cells = [(r, c) for r in range(nrows)
+             for c in range(inner[r] + 1, outer[r] + 1)]
+    # capped by the data cell to the left and, strictly, by the one above
+    caps = []
+    for r, c in cells:
+        cap = []
+        if c > inner[r] + 1:
+            cap.append((r, c - 1, 0))
+        if r > 0 and inner[r - 1] < c <= outer[r - 1]:
+            cap.append((r - 1, c, 1))
+        caps.append(cap)
+    for _ in _search(grid, cells, caps, [()] * len(cells), n, content):
+        yield ContreTableau(outer, [tuple(grid[r][inner[r] + 1:])
+                                    for r in range(nrows)], inner)
 
 
 def enum_ssc(beta: Sequence[int], n: int,
@@ -297,23 +252,17 @@ def enum_ssc(beta: Sequence[int], n: int,
     """
     beta = Composition(beta)
     nrows = len(beta)
-    ncells = beta.size
-    if content is not None:
-        content = tuple(content)
-        if sum(content) != ncells:
-            return
-        budget = list(content) + [0] * max(0, n - len(content))
-        budget = budget[:n]
-    else:
-        budget = None
-
-    grid = [[0] * (b + 1) for b in beta]
-    cells = [(i, k) for i in range(nrows, 0, -1) for k in range(1, beta[i - 1] + 1)]
+    grid = [[0] * (b + 1) for b in beta]  # col 0 unused
+    cells = [(i, k) for i in range(nrows - 1, -1, -1) for k in range(1, beta[i] + 1)]
     order = {cell: t for t, cell in enumerate(cells)}
-    checks: list[list[tuple[tuple[int, int], ...]]] = [[] for _ in cells]
-    for i in range(1, nrows + 1):
-        for j in range(i + 1, nrows + 1):
-            bi, bj = beta[i - 1], beta[j - 1]
+    # the first column strictly increases downward (lower rows are placed
+    # first); elsewhere the left neighbor caps the entry
+    caps = [[(i, k - 1, 0)] if k > 1 else [(i + 1, 1, 1)] if i + 1 < nrows else []
+            for i, k in cells]
+    checks: list[list[tuple[Cell, Cell, Cell]]] = [[] for _ in cells]
+    for i in range(nrows):
+        for j in range(i + 1, nrows):
+            bi, bj = beta[i], beta[j]
             if bi >= bj:
                 for k in range(2, bj + 1):
                     tri = ((i, k), (j, k), (i, k - 1))
@@ -322,35 +271,5 @@ def enum_ssc(beta: Sequence[int], n: int,
                 for k in range(1, bi + 1):
                     tri = ((j, k + 1), (i, k), (j, k))
                     checks[max(order[m] for m in tri)].append(tri)
-
-    def fill(t: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if t == len(cells):
-            yield tuple(tuple(row[1:]) for row in grid)
-            return
-        i, k = cells[t]
-        row = grid[i - 1]
-        if k == 1:
-            # first column strictly increases downward; lower rows are filled
-            top = n if i == nrows else min(n, grid[i][1] - 1)
-        else:
-            top = min(n, row[k - 1])
-        for v in range(top, 0, -1):
-            if budget is not None:
-                if budget[v - 1] == 0:
-                    continue
-                budget[v - 1] -= 1
-            row[k] = v
-            ok = True
-            for pa, pb, pc in checks[t]:
-                if not is_inversion(grid[pa[0] - 1][pa[1]],
-                                    grid[pb[0] - 1][pb[1]],
-                                    grid[pc[0] - 1][pc[1]]):
-                    ok = False
-                    break
-            if ok:
-                yield from fill(t + 1)
-            row[k] = 0
-            if budget is not None:
-                budget[v - 1] += 1
-
-    yield from fill(0)
+    for _ in _search(grid, cells, caps, checks, n, content):
+        yield tuple(tuple(row[1:]) for row in grid)

@@ -26,13 +26,6 @@ class BasementKind(enum.Enum):
     SHIFTED = "shifted"    # b_k = n + k
     LARGE = "large"        # b_k = 2n - k + 1, all entries > n
 
-    def values(self, n: int) -> tuple[int, ...]:
-        return basement_values(self, n)
-
-    @property
-    def decreasing(self) -> bool:
-        return self in (BasementKind.REVERSED, BasementKind.LARGE)
-
 
 def basement_values(kind: BasementKind, n: int) -> tuple[int, ...]:
     """The basement column (b_1, ..., b_n) for the given rule."""
@@ -175,7 +168,10 @@ class Filling:
         self.basement = basement
         self.n = shape.nrows
         self._bvals = basement_values(basement, self.n)
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        try:
+            rows = tuple(tuple(int(v) for v in row) for row in rows)
+        except (ValueError, OverflowError) as exc:
+            raise InvalidFilling(f"entries must be integers ({exc})") from None
         if len(rows) != self.n:
             raise InvalidFilling(f"expected {self.n} rows, got {len(rows)}")
         for i, row in enumerate(rows, start=1):
@@ -269,7 +265,10 @@ class Filling:
         if isinstance(data, str):
             data = json.loads(data)
         shape = SkewShape(data["shape"]["outer"], data["shape"].get("inner"))
-        kind = BasementKind(data["basement"])
+        try:
+            kind = BasementKind(data["basement"])
+        except ValueError:
+            raise InvalidFilling(f"unknown basement {data['basement']!r}") from None
         if data.get("n", shape.nrows) != shape.nrows:
             raise InvalidFilling("n must equal the number of rows")
         return cls(shape, kind, data["rows"])

@@ -8,15 +8,13 @@ All coefficients are exact Python integers; equality is structural.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .errors import (LengthMismatch, NonIntegralCoefficient, NotInSpan,
-                     TooManyParts, TooManyRows, VariableCountMismatch)
+from .errors import (LengthMismatch, NotInSpan, TooManyParts, TooManyRows,
+                     VariableCountMismatch)
 from .enumgen import BasementKind, enum_ct, enum_ssk_shape
-from .shapes import (Composition, Partition, WeakComposition, placements,
-                     weak_compositions)
+from .shapes import Composition, Partition, WeakComposition, placements
 
 
 class Polynomial:
@@ -283,58 +281,6 @@ def expand_in_atoms(p: Polynomial) -> dict[WeakComposition, int]:
                 raise NotInSpan(f"leading monomial {e} failed to cancel")
             result[WeakComposition(e)] = c
     return result
-
-
-def expand_in_atoms_solve(p: Polynomial) -> dict[WeakComposition, int]:
-    """Reference expansion by exact rational linear solve over the monomial
-    basis of each homogeneous component.  Exponential in size; intended as
-    an independent oracle for small instances."""
-    result: dict[WeakComposition, int] = {}
-    for d, comp in sorted(p.degree_components().items()):
-        basis = list(weak_compositions(d, p.n))
-        index = {tuple(m): r for r, m in enumerate(basis)}
-        dim = len(basis)
-        rows = [[Fraction(0)] * (dim + 1) for _ in range(dim)]
-        for col, g in enumerate(basis):
-            for m, c in atom_poly(g, p.n).terms.items():
-                rows[index[m]][col] = Fraction(c)
-        for m, c in comp.items():
-            rows[index[m]][dim] = Fraction(c)
-        sol = _solve_exact(rows, dim)
-        for g, x in zip(basis, sol):
-            if x:
-                if x.denominator != 1:
-                    raise NonIntegralCoefficient(f"coefficient {x} at {tuple(g)}")
-                result[WeakComposition(g)] = int(x)
-    return result
-
-
-def _solve_exact(rows: list[list[Fraction]], dim: int) -> list[Fraction]:
-    """Gaussian elimination on an augmented (dim x dim+1) rational system."""
-    r = 0
-    pivots = []
-    for col in range(dim):
-        piv = next((i for i in range(r, dim) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(dim):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == dim:
-            break
-    for i in range(r, dim):
-        if rows[i][dim] != 0:
-            raise NotInSpan("inconsistent system: polynomial outside atom span")
-    sol = [Fraction(0)] * dim
-    for i, col in enumerate(pivots):
-        sol[col] = rows[i][dim]
-    return sol
 
 
 def clear_caches():

@@ -11,16 +11,19 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Iterator, Sequence
 
-from .errors import IncomparableShapes, NoSuchPart, SizeMismatch
+from .errors import IncomparableShapes, InvalidShape, NoSuchPart, SizeMismatch
 
 
 class WeakComposition(tuple):
     """A finite sequence of nonnegative integers, trailing zeros significant."""
 
     def __new__(cls, parts: Sequence[int] = ()):
-        parts = tuple(int(p) for p in parts)
+        try:
+            parts = tuple(int(p) for p in parts)
+        except (ValueError, OverflowError) as exc:
+            raise InvalidShape(f"parts must be integers ({exc})") from None
         if any(p < 0 for p in parts):
-            raise ValueError(f"weak composition parts must be nonnegative: {parts}")
+            raise InvalidShape(f"weak composition parts must be nonnegative: {parts}")
         return super().__new__(cls, parts)
 
     @property
@@ -39,20 +42,20 @@ class Composition(WeakComposition):
     """A sequence of strictly positive integers."""
 
     def __new__(cls, parts: Sequence[int] = ()):
-        parts = tuple(int(p) for p in parts)
-        if any(p < 1 for p in parts):
-            raise ValueError(f"composition parts must be positive: {parts}")
-        return super().__new__(cls, parts)
+        self = super().__new__(cls, parts)
+        if any(p < 1 for p in self):
+            raise InvalidShape(f"composition parts must be positive: {tuple(self)}")
+        return self
 
 
 class Partition(Composition):
     """A weakly decreasing sequence of positive integers."""
 
     def __new__(cls, parts: Sequence[int] = ()):
-        parts = tuple(int(p) for p in parts)
-        if any(a < b for a, b in zip(parts, parts[1:])):
-            raise ValueError(f"partition parts must weakly decrease: {parts}")
-        return super().__new__(cls, parts)
+        self = super().__new__(cls, parts)
+        if any(a < b for a, b in zip(self, self[1:])):
+            raise InvalidShape(f"partition parts must weakly decrease: {tuple(self)}")
+        return self
 
 
 class Permutation(tuple):
@@ -61,7 +64,7 @@ class Permutation(tuple):
     def __new__(cls, images: Sequence[int]):
         images = tuple(int(v) for v in images)
         if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
+            raise InvalidShape(f"not a permutation of 1..{len(images)}: {images}")
         return super().__new__(cls, images)
 
     @classmethod
@@ -70,12 +73,6 @@ class Permutation(tuple):
 
     def __call__(self, i: int) -> int:
         return self[i - 1]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self)
-        for i, v in enumerate(self, start=1):
-            inv[v - 1] = i
-        return Permutation(inv)
 
     def inversions(self) -> int:
         """Coxeter length: the number of pairs i < j with w(i) > w(j)."""
@@ -269,7 +266,7 @@ def parse_sequence(text: str) -> WeakComposition:
     text = text.strip()
     if text in ("", "-", "()"):
         return WeakComposition()
-    return WeakComposition(int(p) for p in text.split(","))
+    return WeakComposition(text.split(","))
 
 
 def parse_skew(text: str) -> tuple[WeakComposition, WeakComposition | None]:

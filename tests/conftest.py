@@ -4,11 +4,14 @@ independent brute-force oracles used to pin expected values."""
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from skyline.contretab import ContreTableau
+from skyline.errors import NonIntegralCoefficient, NotInSpan
 from skyline.fillings import BasementKind, Filling, SkewShape
+from skyline.poly import Polynomial, atom_poly
 from skyline.shapes import Permutation, WeakComposition, weak_compositions
 
 
@@ -178,3 +181,55 @@ def all_ssk(max_outer_size: int, max_n: int, kinds=tuple(BasementKind)):
     for outer, inner, n in skew_shapes(max_outer_size, max_n):
         for kind in kinds:
             yield from enum_ssk_shape(outer, kind, inner)
+
+
+def expand_in_atoms_solve(p: Polynomial) -> dict[WeakComposition, int]:
+    """Reference expansion by exact rational linear solve over the monomial
+    basis of each homogeneous component.  Exponential in size; intended as
+    an independent oracle for small instances."""
+    result: dict[WeakComposition, int] = {}
+    for d, comp in sorted(p.degree_components().items()):
+        basis = list(weak_compositions(d, p.n))
+        index = {tuple(m): r for r, m in enumerate(basis)}
+        dim = len(basis)
+        rows = [[Fraction(0)] * (dim + 1) for _ in range(dim)]
+        for col, g in enumerate(basis):
+            for m, c in atom_poly(g, p.n).terms.items():
+                rows[index[m]][col] = Fraction(c)
+        for m, c in comp.items():
+            rows[index[m]][dim] = Fraction(c)
+        sol = _solve_exact(rows, dim)
+        for g, x in zip(basis, sol):
+            if x:
+                if x.denominator != 1:
+                    raise NonIntegralCoefficient(f"coefficient {x} at {tuple(g)}")
+                result[WeakComposition(g)] = int(x)
+    return result
+
+
+def _solve_exact(rows: list[list[Fraction]], dim: int) -> list[Fraction]:
+    """Gaussian elimination on an augmented (dim x dim+1) rational system."""
+    r = 0
+    pivots = []
+    for col in range(dim):
+        piv = next((i for i in range(r, dim) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(dim):
+            if i != r and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == dim:
+            break
+    for i in range(r, dim):
+        if rows[i][dim] != 0:
+            raise NotInSpan("inconsistent system: polynomial outside atom span")
+    sol = [Fraction(0)] * dim
+    for i, col in enumerate(pivots):
+        sol[col] = rows[i][dim]
+    return sol

@@ -13,7 +13,8 @@ from skyline.fillings import (BasementKind, Filling, SkewShape, is_nonattacking,
                               is_ssk)
 from skyline.lrrules import (coeff_b, coeff_classical, sweep,
                              verify_atom_theorem, verify_qs_theorem)
-from skyline.poly import Polynomial, atom_poly, char_poly, qs_poly, schur_poly
+from skyline.poly import (Polynomial, atom_poly, char_poly, clear_caches,
+                          qs_poly, schur_poly)
 from skyline.shapes import (Composition, WeakComposition, comp_bruhat_geq,
                             pad, partition_of, partitions, rearrangements,
                             rem_k, reverse, strongof, weak_compositions)
@@ -24,6 +25,8 @@ from skyline.words import (col_word, column_sets, is_contre_lattice,
 
 @contextlib.contextmanager
 def criterion(num: int, desc: str, budget: float):
+    # cold caches, so that no budget depends on which tests ran before
+    clear_caches()
     start = time.perf_counter()
     done = False
     try:

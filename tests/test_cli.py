@@ -1,7 +1,10 @@
+import contextlib
 import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skyline.cli import main
 from skyline.fillings import BasementKind, Filling, SkewShape
@@ -111,12 +114,11 @@ def test_verify_small_all(capsys):
     assert out.strip().splitlines()[-1].endswith("instances passed")
 
 
-def test_verify_deterministic(capsys, monkeypatch):
+def test_verify_deterministic(capsys):
     argv = ["verify", "atoms", "--max-n", "2", "--max-size", "2",
             "--max-lambda", "1"]
     _, first = run(capsys, argv)
-    monkeypatch.setenv("SKYLINE_THREADS", "2")
-    _, second = run(capsys, argv + ["--threads", "4"])
+    _, second = run(capsys, argv)
     assert first == second
 
 
@@ -179,3 +181,99 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "nope", "--shape", "1", "--n", "1"])
     assert exc.value.code == 2
+
+
+def test_compute_atom_long_row(capsys):
+    # one row of 1200 cells: the enumerator must not recurse per cell
+    code, out = run(capsys, ["compute", "atom", "--shape", "1200", "--n", "1"])
+    assert code == 0 and out.strip() == "x1^1200"
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["count", "lrs", "--outer", "a,b", "--inner", "0,0", "--content", "1"], None),
+    (["compute", "schur", "--shape", "1,2", "--n", "2"], None),
+    (["render"], '{"shape": [1, 2], "rows": [[1], [1, 1]]}'),
+    (["render"], '{"shape": {"outer": [1], "inner": [0]}, "basement": "x", '
+                 '"n": 1, "rows": [[1]]}'),
+])
+def test_bad_input_is_a_usage_error(capsys, monkeypatch, argv, stdin):
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# -- the exit-code contract over small random command lines ---------------
+
+MALFORMED = ["a,b", "1,,2", "-1", "1.5"]
+SEQ = st.one_of(st.lists(st.integers(0, 3), max_size=3)
+                .map(lambda p: ",".join(map(str, p))),
+                st.sampled_from(MALFORMED))
+LAMBDA = st.sampled_from(["", "1", "2", "1,1", "1,2"] + MALFORMED)
+N = st.integers(-1, 4).map(str)
+FLAG = st.sampled_from([[], ["--json"]])
+
+COMPUTE = st.tuples(st.just(["compute"]),
+                    st.sampled_from(["schur", "atom", "char", "qs"]).map(lambda k: [k]),
+                    SEQ.map(lambda s: ["--shape", s]), N.map(lambda n: ["--n", n]),
+                    FLAG)
+COUNT = st.tuples(st.just(["count"]),
+                  st.sampled_from(["lrs", "lrk", "lrc", "ct"]).map(lambda k: [k]),
+                  SEQ.map(lambda s: ["--outer", s]),
+                  st.one_of(st.just([]), SEQ.map(lambda s: ["--inner", s])),
+                  SEQ.map(lambda s: ["--content", s]),
+                  st.sampled_from([[], ["--json"], ["--list"]]))
+EXPAND = st.tuples(st.just(["expand"]),
+                   st.sampled_from(["atoms", "chars", "qs"]).map(lambda k: [k]),
+                   SEQ.map(lambda s: ["--shape", s]),
+                   LAMBDA.map(lambda s: ["--lambda", s]),
+                   N.map(lambda n: ["--n", n]), FLAG)
+BOUND = st.integers(-1, 2).map(str)
+VERIFY = st.tuples(st.just(["verify"]),
+                   st.sampled_from(["atoms", "chars", "qs", "consistency", "all"])
+                   .map(lambda k: [k]),
+                   BOUND.map(lambda b: ["--max-n", b]),
+                   BOUND.map(lambda b: ["--max-size", b]),
+                   BOUND.map(lambda b: ["--max-lambda", b]), FLAG)
+ARGV = st.one_of(COMPUTE, COUNT, EXPAND, VERIFY).map(lambda parts: sum(parts, []))
+
+JSON_LEAF = st.one_of(st.none(), st.booleans(), st.integers(-2, 4),
+                      st.sampled_from(["", "x", "ident", "large", "1"]))
+JSON_VALUE = st.recursive(JSON_LEAF, lambda inner: st.one_of(
+    st.lists(inner, max_size=3),
+    st.dictionaries(st.sampled_from(["shape", "outer", "inner", "rows",
+                                     "basement", "n"]), inner, max_size=4)),
+    max_leaves=8)
+SMALL = st.lists(st.integers(0, 3), max_size=3)
+FILLING_LIKE = st.fixed_dictionaries({
+    "shape": st.fixed_dictionaries({"outer": SMALL, "inner": SMALL}),
+    "basement": st.sampled_from(["ident", "reversed", "shifted", "large", "x"]),
+    "rows": st.lists(SMALL, max_size=3)})
+CT_LIKE = st.fixed_dictionaries({"shape": SMALL, "inner": SMALL,
+                                 "rows": st.lists(st.lists(JSON_LEAF, max_size=3),
+                                                  max_size=3)})
+STDIN = st.one_of(st.sampled_from(["", "{not json", "[", "null", '"x"',
+                                  '{"shape": [Infinity], "rows": [[1]]}',
+                                  '{"shape": [1], "rows": [[NaN]]}']),
+                  st.one_of(JSON_VALUE, FILLING_LIKE, CT_LIKE).map(json.dumps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(ARGV.map(lambda argv: (argv, None)),
+                 STDIN.map(lambda text: (["render"], text))))
+def test_cli_exit_code_contract(case):
+    argv, stdin = case
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin or "")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2), (argv, stdin, code)
+    assert "Traceback" not in err.getvalue()

@@ -3,13 +3,13 @@ import itertools
 import pytest
 
 from conftest import LRC_EXAMPLE, RESHAPE_SIGMA, skew_shapes
-from skyline.enumgen import (EnumQuery, count_lrc, enum_lrk, enum_lrs,
-                             enum_ssc, enum_ssk, enum_ssk_shape,
-                             lrc_representatives, reshape)
+from skyline.enumgen import (count_lrc, enum_ct, enum_lrk, enum_lrs, enum_ssc,
+                             enum_ssk_shape, lrc_representatives, reshape)
 from skyline.errors import NotContreLattice, NotRearrangement, SizeMismatch
 from skyline.contretab import ContreTableau, is_ct
 from skyline.fillings import BasementKind, Filling, SkewShape, is_ssk
-from skyline.shapes import partition_of, partitions, rearrangements, strongof
+from skyline.shapes import (partition_of, partitions, rearrangements, strongof,
+                            weak_compositions)
 from skyline.words import (col_word, column_sets, is_contre_lattice,
                            is_regular_contre_lattice)
 
@@ -37,6 +37,56 @@ def test_enum_ssk_stream_properties():
             assert got == list(enum_ssk_shape(outer, kind, inner))
 
 
+def _brute_rows(lengths, n):
+    """Every assignment of [n] to rows of the given lengths, as row lists."""
+    for values in itertools.product(range(1, n + 1), repeat=sum(lengths)):
+        it = iter(values)
+        yield [[next(it) for _ in range(m)] for m in lengths]
+
+
+def test_enum_ssk_complete_against_brute_force():
+    # completeness: every filling of [n]^cells that passes is_ssk comes
+    # out, exactly once, with and without an exact content
+    for outer, inner, n in skew_shapes(4, 3):
+        shape = SkewShape(outer, inner)
+        lengths = [o - i for o, i in zip(outer, inner)]
+        for kind in BasementKind:
+            brute = [f for f in (Filling(shape, kind, rows)
+                                 for rows in _brute_rows(lengths, n))
+                     if is_ssk(f)]
+            got = list(enum_ssk_shape(outer, kind, inner))
+            assert len(got) == len(set(got)) and set(got) == set(brute)
+            for c in weak_compositions(shape.size, n):
+                got = list(enum_ssk_shape(outer, kind, inner, content=c))
+                assert len(got) == len(set(got))
+                assert set(got) == {f for f in brute if f.weight() == c}
+
+
+def test_enum_ct_complete_against_brute_force():
+    for size in range(0, 6):
+        for nu in partitions(size):
+            for msize in range(0, size + 1):
+                for mu in partitions(msize):
+                    if len(mu) > len(nu) or any(m > v for m, v in zip(mu, nu)):
+                        continue
+                    lengths = [v - m for v, m in
+                               zip(nu, tuple(mu) + (0,) * len(nu))]
+                    for n in range(1, 4):
+                        brute = [t for t in (ContreTableau(nu, rows, mu)
+                                             for rows in _brute_rows(lengths, n))
+                                 if is_ct(t)]
+                        got = list(enum_ct(nu, mu, n=n))
+                        assert len(got) == len(set(got))
+                        assert set(got) == set(brute)
+                        for c in weak_compositions(sum(lengths), n):
+                            got = list(enum_ct(nu, mu, n=n, content=c))
+                            assert len(got) == len(set(got))
+                            assert set(got) == {
+                                t for t in brute
+                                if tuple(sum(r.count(v) for r in t.rows)
+                                         for v in range(1, n + 1)) == c}
+
+
 def test_enum_ssk_content_filter_matches_postfilter():
     outer, target = (2, 0, 2), (2, 1, 1)
     with_filter = list(enum_ssk_shape(outer, BasementKind.IDENT,
@@ -47,13 +97,11 @@ def test_enum_ssk_content_filter_matches_postfilter():
 
 
 def test_enum_query_flags():
-    q = EnumQuery(SkewShape((2, 1)), BasementKind.LARGE,
-                  require_contre_lattice=True)
-    for f in enum_ssk(q):
-        assert is_contre_lattice(col_word(f))
-    q = EnumQuery(SkewShape((2, 1)), BasementKind.LARGE, require_regular=True)
-    for f in enum_ssk(q):
-        assert is_regular_contre_lattice(col_word(f))
+    regular = list(enum_ssk_shape((2, 1), BasementKind.LARGE,
+                                  require_regular=True))
+    assert regular
+    assert regular == [f for f in enum_ssk_shape((2, 1), BasementKind.LARGE)
+                       if is_regular_contre_lattice(col_word(f))]
 
 
 def test_enum_lrs(lrs_example):

@@ -177,7 +177,7 @@ def test_report_json():
 
 def test_sweep_runner_deterministic():
     once = sweep("atoms", 2, 2, 1)
-    again = sweep("atoms", 2, 2, 1, threads=2)
+    again = sweep("atoms", 2, 2, 1)
     assert once == again
     assert all(ok for _, ok, _ in once)
     with pytest.raises(ValueError):

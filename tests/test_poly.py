@@ -3,10 +3,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import expand_in_atoms_solve
 from skyline.errors import (LengthMismatch, TooManyParts, TooManyRows,
                             VariableCountMismatch)
 from skyline.poly import (Polynomial, atom_poly, char_poly, expand_in_atoms,
-                          expand_in_atoms_solve, qs_poly, schur_poly)
+                          qs_poly, schur_poly)
 from skyline.shapes import (Permutation, WeakComposition, comp_bruhat_geq,
                             partition_of, partitions, placements,
                             rearrangements, strongof, weak_compositions)
