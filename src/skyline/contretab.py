@@ -10,7 +10,7 @@ from typing import Sequence
 
 from .errors import InvalidFilling, InvalidShape, NoValidRow, NotSSK
 from .fillings import BasementKind, Filling, SkewShape, is_ssk
-from .shapes import Partition, WeakComposition
+from .shapes import Partition, WeakComposition, _as_ints
 from .words import is_regular_contre_lattice, row_word
 
 
@@ -35,7 +35,7 @@ class ContreTableau:
         if any(i > o for i, o in zip(inner, self.outer)):
             raise InvalidShape(f"inner {inner} not inside {tuple(self.outer)}")
         try:
-            self.rows = tuple(tuple(int(v) for v in row) for row in rows)
+            self.rows = tuple(_as_ints(row) for row in rows)
         except (ValueError, OverflowError) as exc:
             raise InvalidFilling(f"entries must be integers ({exc})") from None
         if len(self.rows) != len(self.outer):

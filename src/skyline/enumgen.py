@@ -20,7 +20,7 @@ from .errors import (InvalidShape, NotContreLattice, NotRearrangement,
 from .contretab import ContreTableau
 from .fillings import (BasementKind, Filling, SkewShape, basement_values,
                        enumerate_triples, is_inversion, is_ssk)
-from .shapes import Composition, WeakComposition, pad, placements
+from .shapes import Composition, Partition, WeakComposition, pad, placements
 from .words import col_word, is_contre_lattice, is_regular_contre_lattice
 
 Cell = tuple[int, int]  # (row, column) index into the grid
@@ -219,11 +219,16 @@ def enum_ct(outer: Sequence[int], inner: Sequence[int] = (), *, n: int,
     """All (skew) contretableaux of shape outer/inner with entries in [n].
 
     Rows weakly decrease, columns strictly decrease; optional exact content.
+    Both shapes are checked up front, whether or not a tableau exists.
     """
-    outer = tuple(outer)
-    inner = tuple(inner) + (0,) * (len(outer) - len(inner))
+    outer = Partition(outer)
+    inner = WeakComposition(inner)
+    if len(inner) > len(outer) or any(a < b for a, b in zip(inner, inner[1:])):
+        raise InvalidShape(f"inner {tuple(inner)} is not a partition of at "
+                           f"most {len(outer)} rows")
+    inner = inner + (0,) * (len(outer) - len(inner))
     if any(i > o for i, o in zip(inner, outer)):
-        raise InvalidShape(f"inner {inner} not inside {outer}")
+        raise InvalidShape(f"inner {inner} not inside {tuple(outer)}")
     nrows = len(outer)
     grid = [[0] * (outer[r] + 1) for r in range(nrows)]  # col 0 unused
     cells = [(r, c) for r in range(nrows)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InvalidFilling, InvalidShape, UnorderedTriple
-from .shapes import WeakComposition
+from .shapes import WeakComposition, _as_ints
 
 
 class BasementKind(enum.Enum):
@@ -169,7 +169,7 @@ class Filling:
         self.n = shape.nrows
         self._bvals = basement_values(basement, self.n)
         try:
-            rows = tuple(tuple(int(v) for v in row) for row in rows)
+            rows = tuple(_as_ints(row) for row in rows)
         except (ValueError, OverflowError) as exc:
             raise InvalidFilling(f"entries must be integers ({exc})") from None
         if len(rows) != self.n:

@@ -1,6 +1,14 @@
-"""Exact sparse integer polynomials in x_1..x_n and the combinatorial
-generating functions built from tableau enumeration: Schur polynomials,
-Demazure atoms, Demazure characters, and quasisymmetric Schur polynomials.
+"""Exact sparse integer polynomials in x_1..x_n and the generating
+functions of the paper: Schur polynomials, Demazure atoms, Demazure
+characters, and quasisymmetric Schur polynomials.
+
+Atoms and characters come from the Demazure operators (isobaric divided
+differences), Schur polynomials are the characters at increasing indices,
+and quasisymmetric Schur polynomials are sums of atoms.  No tableau is
+enumerated here: the skyline-filling and contretableau enumerators, which
+count the LR coefficients, serve as the test oracle for these
+polynomials, so each LR rule is checked against an independent
+derivation.
 
 All coefficients are exact Python integers; equality is structural.
 """
@@ -8,12 +16,13 @@ All coefficients are exact Python integers; equality is structural.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from heapq import heapify, heappop, heappush
+from itertools import accumulate
+from operator import add
+from typing import Mapping, Sequence
 
 from .errors import (LengthMismatch, NotInSpan, TooManyParts, TooManyRows,
                      VariableCountMismatch)
-from .enumgen import BasementKind, enum_ct, enum_ssk_shape
 from .shapes import Composition, Partition, WeakComposition, placements
 
 
@@ -40,6 +49,16 @@ class Polynomial:
                         f"exponent {e} invalid for {n} variables")
                 clean[e] = c
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict[tuple[int, ...], int]) -> "Polynomial":
+        """Wrap terms this module built itself, without validation: every
+        exponent is an n-tuple of nonnegative ints, no coefficient is 0,
+        and the dict is not shared."""
+        self = object.__new__(cls)
+        self.n = n
+        self.terms = terms
+        return self
 
     # -- constructors ---------------------------------------------------
 
@@ -72,28 +91,28 @@ class Polynomial:
                 out[e] = nc
             else:
                 out.pop(e, None)
-        return Polynomial(self.n, out)
+        return Polynomial._trusted(self.n, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.n, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.n, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return Polynomial(self.n, {e: c * other for e, c in self.terms.items()})
+            if not other:
+                return Polynomial.zero(self.n)
+            return Polynomial._trusted(
+                self.n, {e: c * other for e, c in self.terms.items()})
         self._check(other)
         out: dict[tuple[int, ...], int] = {}
+        get = out.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                nc = out.get(e, 0) + c1 * c2
-                if nc:
-                    out[e] = nc
-                else:
-                    out.pop(e, None)
-        return Polynomial(self.n, out)
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        return Polynomial._trusted(self.n, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -125,7 +144,7 @@ class Polynomial:
     def specialize_last_to_zero(self) -> "Polynomial":
         """Set x_n = 0 and forget the last variable."""
         out = {e[:-1]: c for e, c in self.terms.items() if e[-1] == 0}
-        return Polynomial(self.n - 1, out)
+        return Polynomial._trusted(self.n - 1, out)
 
     def permute_variables(self, perm: Sequence[int]) -> "Polynomial":
         """Apply x_i -> x_{perm(i)} (perm in one-line notation, 1-based)."""
@@ -176,57 +195,82 @@ class Polynomial:
         return cls(data["n"], {tuple(t["e"]): t["c"] for t in data["terms"]})
 
 
-def _weight_sum(n: int, weights: Iterable[tuple[int, ...]]) -> Polynomial:
-    terms: dict[tuple[int, ...], int] = {}
-    for w in weights:
-        terms[w] = terms.get(w, 0) + 1
-    return Polynomial(n, terms)
+def _isobaric(p: Polynomial, i: int, atom: bool) -> Polynomial:
+    """pi_i p, or pi-bar_i p = pi_i p - p when `atom`, for 0-based i.
+
+    pi_i f = (x_i f - x_{i+1} s_i f) / (x_i - x_{i+1}) is the isobaric
+    divided difference.  On x^e with (e_i, e_{i+1}) = (a, b) it gives the
+    string x_i^a x_{i+1}^b + ... + x_i^b x_{i+1}^a when a >= b, and minus
+    the monomials strictly between the two ends when a < b.
+    """
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    for e, c in p.terms.items():
+        a, b = e[i], e[i + 1]
+        head, tail = e[:i], e[i + 2:]
+        if a >= b:  # (a - k, b + k) for k = 0 (pi_i only) .. a - b
+            for k in range(1 if atom else 0, a - b + 1):
+                m = head + (a - k, b + k) + tail
+                out[m] = get(m, 0) + c
+        else:  # -(a + k, b - k) for k = 0 (pi-bar_i only) .. b - a - 1
+            for k in range(0 if atom else 1, b - a):
+                m = head + (a + k, b - k) + tail
+                out[m] = get(m, 0) - c
+    return Polynomial._trusted(p.n, {m: c for m, c in out.items() if c})
 
 
-def _ct_weight(rows: Iterable[Sequence[int]], n: int) -> tuple[int, ...]:
-    e = [0] * n
-    for row in rows:
-        for v in row:
-            e[v - 1] += 1
-    return tuple(e)
+# Demazure polynomials computed so far, keyed by (index, is_atom).  Every
+# index met on the way from a requested one down to its dominant
+# rearrangement is kept, so related indices share their work.
+_demazure_cache: dict[tuple[tuple[int, ...], bool], Polynomial] = {}
+
+
+def _demazure(g: tuple[int, ...], atom: bool) -> Polynomial:
+    """The atom A_g (`atom`) or the character kappa_g, from operators.
+
+    Both are x^g when g weakly decreases.  Otherwise, at the first ascent
+    i of g (g_i < g_{i+1}), A_g = pi-bar_i A_{s_i g} and kappa_g = pi_i
+    kappa_{s_i g} (Mason, arXiv:0707.4267; Lascoux-Schuetzenberger, "Keys
+    and standard bases").  The chain is walked iteratively, so no index
+    meets the recursion limit.
+    """
+    chain = []
+    while (g, atom) not in _demazure_cache:
+        i = next((i for i in range(len(g) - 1) if g[i] < g[i + 1]), None)
+        if i is None:
+            _demazure_cache[g, atom] = Polynomial._trusted(len(g), {g: 1})
+            break
+        chain.append((g, i))
+        g = g[:i] + (g[i + 1], g[i]) + g[i + 2:]
+    p = _demazure_cache[g, atom]
+    for h, i in reversed(chain):
+        p = _demazure_cache[h, atom] = _isobaric(p, i, atom)
+    return p
 
 
 def schur_poly(lam: Sequence[int], n: int) -> Polynomial:
-    """Schur polynomial s_lam(x_1..x_n), via contretableau enumeration."""
+    """Schur polynomial s_lam(x_1..x_n): the Demazure character at the
+    increasing rearrangement of lam padded to n parts."""
     lam = Partition(lam)
     if len(lam) > n:
         raise TooManyRows(f"partition {tuple(lam)} has more than {n} rows")
-    return _weight_sum(n, (_ct_weight(t.rows, n) for t in enum_ct(lam, n=n)))
-
-
-@lru_cache(maxsize=None)
-def _atom_poly_cached(g: tuple[int, ...], n: int) -> Polynomial:
-    weights = (f.weight() for f in enum_ssk_shape(g, BasementKind.IDENT))
-    return _weight_sum(n, weights)
+    return _demazure((0,) * (n - len(lam)) + tuple(reversed(lam)), False)
 
 
 def atom_poly(g: Sequence[int], n: int) -> Polynomial:
-    """Demazure atom: weight sum over standard-basement fillings of shape g."""
+    """Demazure atom A_g, from the operators pi-bar_i."""
     g = WeakComposition(g)
     if len(g) != n:
         raise LengthMismatch(f"shape {tuple(g)} must have exactly n={n} parts")
-    return _atom_poly_cached(tuple(g), n)
-
-
-@lru_cache(maxsize=None)
-def _char_poly_cached(g: tuple[int, ...], n: int) -> Polynomial:
-    shape = tuple(reversed(g))
-    weights = (f.weight() for f in enum_ssk_shape(shape, BasementKind.REVERSED))
-    return _weight_sum(n, weights)
+    return _demazure(tuple(g), True)
 
 
 def char_poly(g: Sequence[int], n: int) -> Polynomial:
-    """Demazure character: weight sum over reversed-basement fillings of
-    shape reverse(g)."""
+    """Demazure character kappa_g, from the operators pi_i."""
     g = WeakComposition(g)
     if len(g) != n:
         raise LengthMismatch(f"shape {tuple(g)} must have exactly n={n} parts")
-    return _char_poly_cached(tuple(g), n)
+    return _demazure(tuple(g), False)
 
 
 def qs_poly(a: Sequence[int], n: int) -> Polynomial:
@@ -235,20 +279,18 @@ def qs_poly(a: Sequence[int], n: int) -> Polynomial:
     a = Composition(a)
     if len(a) > n:
         raise TooManyParts(f"composition {tuple(a)} has more than {n} parts")
-    out = Polynomial.zero(n)
+    terms: dict[tuple[int, ...], int] = {}
+    get = terms.get
     for g in placements(a, n):
-        out = out + atom_poly(g, n)
-    return out
+        for e, c in atom_poly(g, n).terms.items():
+            terms[e] = get(e, 0) + c  # atoms are positive: no term cancels
+    return Polynomial._trusted(n, terms)
 
 
-def _suffix_key(e: Sequence[int]) -> tuple[int, ...]:
-    """Suffix sums (e_k + ... + e_n) for k = 2..n, the triangularity order."""
-    out = []
-    total = 0
-    for x in reversed(e[1:]):
-        total += x
-        out.append(total)
-    return tuple(reversed(out))
+def _heap_key(e: tuple[int, ...]) -> tuple[int, ...]:
+    """Negated suffix sums (e_k + ... + e_n) for k = 2..n: the smallest
+    key is the largest monomial in the triangularity order."""
+    return tuple(accumulate(-x for x in reversed(e[1:])))[::-1]
 
 
 def expand_in_atoms(p: Polynomial) -> dict[WeakComposition, int]:
@@ -258,25 +300,33 @@ def expand_in_atoms(p: Polynomial) -> dict[WeakComposition, int]:
     exponent vector is maximal in suffix-sum dominance: every monomial
     of an atom indexed by g is dominated by g (entries of row i never
     exceed i), with x^g itself appearing exactly once, so the peeled
-    coefficient is the true expansion coefficient at every step.
+    coefficient is the true expansion coefficient at every step.  The
+    candidates sit in a heap; an entry whose monomial has cancelled is
+    skipped when it comes up.
     """
     result: dict[WeakComposition, int] = {}
     for _, comp in sorted(p.degree_components().items()):
         work = dict(comp)
+        heap = [(_heap_key(e), e) for e in work]
+        heapify(heap)
         rounds = 0
-        while work:
+        while heap:
+            e = heappop(heap)[1]
+            c = work.get(e)
+            if c is None:
+                continue
             rounds += 1
             if rounds > 10 ** 6:
                 raise NotInSpan("atom expansion did not terminate")
-            e = max(work, key=_suffix_key)
-            c = work[e]
-            atom = atom_poly(WeakComposition(e), p.n)
-            for m, cm in atom.terms.items():
-                nc = work.get(m, 0) - c * cm
-                if nc:
-                    work[m] = nc
+            for m, cm in atom_poly(e, p.n).terms.items():
+                old = work.get(m)
+                nc = (old or 0) - c * cm
+                if not nc:
+                    del work[m]
                 else:
-                    work.pop(m, None)
+                    if old is None:
+                        heappush(heap, (_heap_key(m), m))
+                    work[m] = nc
             if e in work:
                 raise NotInSpan(f"leading monomial {e} failed to cancel")
             result[WeakComposition(e)] = c
@@ -285,5 +335,4 @@ def expand_in_atoms(p: Polynomial) -> dict[WeakComposition, int]:
 
 def clear_caches():
     """Drop memoized generating functions (mostly useful in benchmarks)."""
-    _atom_poly_cached.cache_clear()
-    _char_poly_cached.cache_clear()
+    _demazure_cache.clear()

@@ -14,12 +14,25 @@ from typing import Iterator, Sequence
 from .errors import IncomparableShapes, InvalidShape, NoSuchPart, SizeMismatch
 
 
+def _as_ints(values: Sequence) -> tuple[int, ...]:
+    """The values as ints, rejecting a number with a fractional part
+    (1.7) instead of truncating it; strings go through int() unchanged.
+    Raises ValueError, OverflowError or TypeError as int() does."""
+    values = tuple(values)
+    ints = tuple(map(int, values))
+    if ints != values:
+        for v, i in zip(values, ints):
+            if i != v and not isinstance(v, str):
+                raise ValueError(f"{v!r} is not a whole number")
+    return ints
+
+
 class WeakComposition(tuple):
     """A finite sequence of nonnegative integers, trailing zeros significant."""
 
     def __new__(cls, parts: Sequence[int] = ()):
         try:
-            parts = tuple(int(p) for p in parts)
+            parts = _as_ints(parts)
         except (ValueError, OverflowError) as exc:
             raise InvalidShape(f"parts must be integers ({exc})") from None
         if any(p < 0 for p in parts):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from skyline.contretab import ContreTableau
+from skyline.enumgen import enum_ct, enum_ssk_shape
 from skyline.errors import NonIntegralCoefficient, NotInSpan
 from skyline.fillings import BasementKind, Filling, SkewShape
 from skyline.poly import Polynomial, atom_poly
@@ -176,11 +177,44 @@ def skew_shapes(max_outer_size: int, max_n: int):
 
 def all_ssk(max_outer_size: int, max_n: int, kinds=tuple(BasementKind)):
     """Every SSK over the bounded skew-shape domain, all basements."""
-    from skyline.enumgen import enum_ssk_shape
-
     for outer, inner, n in skew_shapes(max_outer_size, max_n):
         for kind in kinds:
             yield from enum_ssk_shape(outer, kind, inner)
+
+
+def _weight_sum(n: int, weights) -> Polynomial:
+    terms: dict[tuple[int, ...], int] = {}
+    for w in weights:
+        terms[w] = terms.get(w, 0) + 1
+    return Polynomial(n, terms)
+
+
+def atom_oracle(g, n: int) -> Polynomial:
+    """Demazure atom as the weight sum over standard-basement (IDENT)
+    skyline fillings of shape g: the combinatorial model of the paper,
+    against which the operator derivation in skyline.poly is checked."""
+    return _weight_sum(n, (f.weight() for f in
+                           enum_ssk_shape(g, BasementKind.IDENT)))
+
+
+def char_oracle(g, n: int) -> Polynomial:
+    """Demazure character as the weight sum over reversed-basement skyline
+    fillings of shape reverse(g)."""
+    return _weight_sum(n, (f.weight() for f in
+                           enum_ssk_shape(tuple(reversed(g)),
+                                          BasementKind.REVERSED)))
+
+
+def schur_oracle(lam, n: int) -> Polynomial:
+    """Schur polynomial as the weight sum over contretableaux of shape lam
+    with entries in [n]."""
+    def weight(t):
+        e = [0] * n
+        for row in t.rows:
+            for v in row:
+                e[v - 1] += 1
+        return tuple(e)
+    return _weight_sum(n, (weight(t) for t in enum_ct(lam, n=n)))
 
 
 def expand_in_atoms_solve(p: Polynomial) -> dict[WeakComposition, int]:

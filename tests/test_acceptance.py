@@ -293,3 +293,11 @@ def test_criterion_9_proposition_suite():
                                 rev = tuple(row_word(t))[::-1]
                                 assert is_regular_contre_lattice(rev) == \
                                     is_regular_contre_lattice(col_word(t))
+
+
+def test_criterion_10_n6_qs_instance():
+    with criterion(10, "quasisymmetric rule on QS(3,2,1) * s(3,2,1) at n=6, "
+                       "from cold caches", budget=5.0):
+        report = verify_qs_theorem((3, 2, 1), (3, 2, 1), 6)
+        assert report.ok
+        assert report.enumerated == report.expanded

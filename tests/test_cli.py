@@ -195,6 +195,11 @@ def test_compute_atom_long_row(capsys):
     (["render"], '{"shape": [1, 2], "rows": [[1], [1, 1]]}'),
     (["render"], '{"shape": {"outer": [1], "inner": [0]}, "basement": "x", '
                  '"n": 1, "rows": [[1]]}'),
+    (["render"], '{"shape": {"outer": [1], "inner": [0]}, "basement": "ident", '
+                 '"n": 1, "rows": [[1.7]]}'),
+    (["render"], '{"shape": [2], "rows": [[2, 1.5]]}'),
+    (["count", "ct", "--outer", "1,2", "--content", "5"], None),
+    (["count", "ct", "--outer", "1,2", "--content", "2,1"], None),
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, argv, stdin):
     if stdin is not None:

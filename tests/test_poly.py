@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import expand_in_atoms_solve
+from conftest import atom_oracle, char_oracle, expand_in_atoms_solve, schur_oracle
 from skyline.errors import (LengthMismatch, TooManyParts, TooManyRows,
                             VariableCountMismatch)
 from skyline.poly import (Polynomial, atom_poly, char_poly, expand_in_atoms,
@@ -32,6 +32,14 @@ def test_polynomial_basics():
         Polynomial(2, {(1, 0, 0): 1})
 
 
+@pytest.mark.parametrize("e", [(1, 0, 0), (1,), (1, -1)])
+def test_public_constructors_validate_exponents(e):
+    with pytest.raises(VariableCountMismatch):
+        Polynomial(2, {e: 1})
+    with pytest.raises(VariableCountMismatch):
+        Polynomial.from_json({"n": 2, "terms": [{"e": list(e), "c": 1}]})
+
+
 small_polys = st.builds(
     lambda terms: Polynomial(2, {e: c for e, c in terms}),
     st.lists(st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)),
@@ -44,6 +52,10 @@ def test_ring_axioms(p, q, r):
     assert p * q == q * p
     assert (p + q) * r == p * r + q * r
     assert (p * q) * r == p * (q * r)
+    # ring operations skip validation: their terms must already be clean
+    for result in (p + q, p - q, p * q, p * 0, 0 * p, -p):
+        assert 0 not in result.terms.values()
+        assert result == Polynomial(result.n, result.terms)
 
 
 def test_str_rendering():
@@ -84,6 +96,7 @@ def test_schur_symmetric():
 def test_atom_small():
     assert atom_poly((1, 0), 2) == poly_of(2, ((1, 0), 1))
     assert atom_poly((0, 1), 2) == poly_of(2, ((0, 1), 1))
+    assert atom_poly((), 0) == char_poly((), 0) == Polynomial.one(0)
     with pytest.raises(LengthMismatch):
         atom_poly((1, 0), 3)
 
@@ -98,6 +111,39 @@ def test_atoms_sum_to_schur():
                 for g in rearrangements(lam, n):
                     total = total + atom_poly(g, n)
                 assert total == schur_poly(lam, n)
+
+
+# The operator derivations in skyline.poly against the tableau weight sums.
+
+
+def test_atoms_and_chars_match_fillings():
+    for n in range(1, 6):
+        for d in range(0, 6):
+            for g in weak_compositions(d, n):
+                assert atom_poly(g, n) == atom_oracle(g, n), g
+                assert char_poly(g, n) == char_oracle(g, n), g
+
+
+def test_all_n6_degree6_atoms_match_fillings():
+    shapes = list(weak_compositions(6, 6))
+    assert len(shapes) == 462
+    for g in shapes:
+        assert atom_poly(g, 6) == atom_oracle(g, 6), g
+
+
+def test_schur_matches_contretableaux():
+    for n in range(1, 7):
+        for d in range(0, 8):
+            for lam in partitions(d):
+                if len(lam) <= n:
+                    assert schur_poly(lam, n) == schur_oracle(lam, n), (lam, n)
+
+
+def test_long_operator_chain():
+    # 1,199 operator steps, beyond the recursion limit: the walk down to
+    # the dominant index must be iterative
+    g = (0,) * 1199 + (1,)
+    assert atom_poly(g, 1200) == Polynomial.monomial(g)
 
 
 def test_char_small():
