@@ -17,7 +17,7 @@ from .enumgen import enum_ct, enum_lrk, enum_lrs, lrc_representatives
 from .fillings import Filling
 from .contretab import is_lr_skew_ct
 from .lrrules import sweep, verify_atom_theorem, verify_char_theorem, verify_qs_theorem
-from .poly import atom_poly, char_poly, qs_poly, schur_poly
+from .poly import atom_poly, char_poly, clear_caches, qs_poly, schur_poly
 from .shapes import parse_sequence
 
 DEFAULT_BOUNDS = {"max_n": 3, "max_size": 3, "max_lambda": 2}
@@ -75,10 +75,14 @@ def _cmd_verify(args) -> int:
     results = []
     for suite in suites:
         results.extend(sweep(suite, **bounds))
+    clear_caches()  # the memo is not needed while the output is built
     failures = [r for r in results if not r[1]]
     if args.json:
-        print(json.dumps([{"instance": label, "ok": ok, "detail": detail}
-                          for label, ok, detail in results]))
+        # Item by item, byte for byte as json.dumps of the whole list, so
+        # that the list of dicts is never built.
+        print("[" + ", ".join(
+            json.dumps({"instance": label, "ok": ok, "detail": detail})
+            for label, ok, detail in results) + "]")
     else:
         for label, ok, detail in results:
             line = f"{'PASS' if ok else 'FAIL'} {label}"

@@ -31,6 +31,8 @@ class ContreTableau:
         inner = inner + (0,) * (len(self.outer) - len(inner))
         if len(inner) > len(self.outer):
             raise InvalidShape(f"inner shape longer than outer: {inner}")
+        if any(a < b for a, b in zip(inner, inner[1:])):
+            raise InvalidShape(f"inner parts must weakly decrease: {inner}")
         self.inner = Partition(p for p in inner if p > 0)
         if any(i > o for i, o in zip(inner, self.outer)):
             raise InvalidShape(f"inner {inner} not inside {tuple(self.outer)}")

@@ -18,7 +18,8 @@ from typing import Iterator, Sequence
 from .errors import ShapeMismatch, SizeMismatch
 from .contretab import is_lr_skew_ct
 from .enumgen import count_lrc, enum_ct, enum_lrk, enum_lrs
-from .poly import Polynomial, atom_poly, char_poly, expand_in_atoms, qs_poly, schur_poly
+from .poly import (Polynomial, _caches, atom_poly, char_poly, expand_in_atoms,
+                   qs_poly, schur_poly)
 from .shapes import (Composition, Partition, WeakComposition, comp_bruhat_geq,
                      compositions, min_sorting_perm, partition_of, partitions,
                      placements, rearrangements, rem_k, reverse, strongof,
@@ -175,6 +176,26 @@ def _outer_candidates(gamma: WeakComposition, size: int) -> Iterator[WeakComposi
         yield WeakComposition(g + e for g, e in zip(gamma, extra))
 
 
+# The memo of one query: LR coefficient tables keyed by (basis letter,
+# shape, lam, n) and Bruhat intervals keyed by (up, g).  A sweep meets each
+# product under several rules (the consistency identity sums exactly the
+# counts of the atom and character rules), so each is counted once.
+# poly.clear_caches empties it.
+_memo: dict = {}
+_caches.append(_memo)
+
+
+def _bruhat_interval(g: WeakComposition, up: bool) -> tuple[WeakComposition, ...]:
+    """The rearrangements h of g with h >= g (`up`) or g >= h, in
+    `rearrangements` order."""
+    interval = _memo.get((up, g))
+    if interval is None:
+        interval = _memo[up, g] = tuple(
+            h for h in rearrangements(partition_of(g), len(g))
+            if (comp_bruhat_geq(h, g) if up else comp_bruhat_geq(g, h)))
+    return interval
+
+
 def _chars_from_atom_expansion(e: dict, n: int) -> dict:
     """Invert kappa_d = sum over b >= d of atoms: recover character
     coefficients from atom coefficients by triangular elimination, one
@@ -189,13 +210,12 @@ def _chars_from_atom_expansion(e: dict, n: int) -> dict:
             if c == 0:
                 continue
             out[d] = c
-            for b in rearrangements(part, n):
-                if comp_bruhat_geq(b, d):
-                    nc = residual.get(b, 0) - c
-                    if nc:
-                        residual[b] = nc
-                    else:
-                        residual.pop(b, None)
+            for b in _bruhat_interval(d, up=True):
+                nc = residual.get(b, 0) - c
+                if nc:
+                    residual[b] = nc
+                else:
+                    residual.pop(b, None)
     if residual:
         k = next(iter(residual))
         raise ShapeMismatch(f"atom expansion not in character span near {tuple(k)}")
@@ -218,9 +238,9 @@ def _qs_from_atom_expansion(e: dict, n: int) -> tuple[dict, str | None]:
 
 
 # One row per LR rule, keyed by the basis letter of the identity label;
-# _verify names the fields.  The rows call the module-level functions by
-# name when they run, so a wrapper installed on one of those names (as
-# perfbench/tracing.py does) sees every call.
+# _verify and _lr_table name the fields.  The rows call the module-level
+# functions by name when they run, so a wrapper installed on one of those
+# names (as perfbench/tracing.py does) sees every call.
 _THEOREMS = {
     "A": (WeakComposition,
           lambda g, n: atom_poly(g, n),
@@ -245,23 +265,38 @@ def _fmt(x) -> str:
     return str(x) if isinstance(x, int) else ",".join(map(str, x)) or "-"
 
 
+def _lr_table(label: str, shape: WeakComposition, lam: Partition, n: int
+              ) -> dict:
+    """The nonzero LR tableau counts of one product, by outer shape: the
+    coefficients of basis[shape] * s[lam] in its own basis.  This is the
+    one place a product's coefficients are counted; the table is kept in
+    the query's memo and must not be modified."""
+    key = (label, shape, lam, n)
+    table = _memo.get(key)
+    if table is None:
+        _, _, coeff, outer_shapes, _ = _THEOREMS[label]
+        if lam.size == 0:
+            table = {shape: 1}
+        else:
+            table = {}
+            for outer in outer_shapes(shape, lam, n):
+                c = coeff(shape, lam, outer)
+                if c:
+                    table[outer] = c
+        _memo[key] = table
+    return table
+
+
 def _verify(label: str, shape: Sequence[int], lam: Sequence[int], n: int
             ) -> ExpansionReport:
     """Check one LR rule on one product, both as an exact polynomial
     identity and against the coefficients recovered independently from
     the atom expansion of the product."""
-    index_type, basis, coeff, outer_shapes, recover = _THEOREMS[label]
+    index_type, basis, _, _, recover = _THEOREMS[label]
     shape, lam = index_type(shape), Partition(lam)
     ident = f"{label}[{_fmt(shape)}] * s[{_fmt(lam)}]"
     lhs = basis(shape, n) * schur_poly(lam, n)
-    if lam.size == 0:
-        enumerated = {shape: 1}
-    else:
-        enumerated = {}
-        for outer in outer_shapes(shape, lam, n):
-            c = coeff(shape, lam, outer)
-            if c:
-                enumerated[outer] = c
+    enumerated = dict(_lr_table(label, shape, lam, n))
     rhs = Polynomial.zero(n)
     for outer, c in enumerated.items():
         rhs = rhs + c * basis(outer, n)
@@ -307,14 +342,10 @@ def verify_consistency_identity(delta: Sequence[int], gamma: Sequence[int],
         raise ShapeMismatch(f"lengths differ: {tuple(gamma)} vs {tuple(delta)}")
     if delta.size != gamma.size + lam.size:
         return True  # both sides are empty sums
-    lhs = 0
-    for alpha in rearrangements(partition_of(delta), n):
-        if alpha.contains(gamma) and comp_bruhat_geq(delta, alpha):
-            lhs += coeff_b(gamma, lam, alpha)
-    rhs = 0
-    for beta in rearrangements(partition_of(gamma), n):
-        if delta.contains(beta) and comp_bruhat_geq(beta, gamma):
-            rhs += coeff_a(beta, lam, delta)
+    chars = _lr_table("k", gamma, lam, n)
+    lhs = sum(chars.get(alpha, 0) for alpha in _bruhat_interval(delta, up=False))
+    rhs = sum(_lr_table("A", beta, lam, n).get(delta, 0)
+              for beta in _bruhat_interval(gamma, up=True) if delta.contains(beta))
     return lhs == rhs
 
 

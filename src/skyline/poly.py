@@ -333,6 +333,14 @@ def expand_in_atoms(p: Polynomial) -> dict[WeakComposition, int]:
     return result
 
 
+# Every memo of the package, so that clear_caches reaches them all; a module
+# that keeps one appends it here.
+_caches: list[dict] = [_demazure_cache]
+
+
 def clear_caches():
-    """Drop memoized generating functions (mostly useful in benchmarks)."""
-    _demazure_cache.clear()
+    """Empty every memo: the Demazure polynomials here, and the LR
+    coefficient tables and Bruhat intervals of `lrrules`.  Afterwards a
+    query starts cold, as in a fresh process."""
+    for cache in _caches:
+        cache.clear()

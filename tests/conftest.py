@@ -12,8 +12,11 @@ from skyline.contretab import ContreTableau
 from skyline.enumgen import enum_ct, enum_ssk_shape
 from skyline.errors import NonIntegralCoefficient, NotInSpan
 from skyline.fillings import BasementKind, Filling, SkewShape
+from skyline.lrrules import coeff_a, coeff_b
 from skyline.poly import Polynomial, atom_poly
-from skyline.shapes import Permutation, WeakComposition, weak_compositions
+from skyline.shapes import (Partition, Permutation, WeakComposition,
+                            comp_bruhat_geq, partition_of, rearrangements,
+                            weak_compositions)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +218,24 @@ def schur_oracle(lam, n: int) -> Polynomial:
                 e[v - 1] += 1
         return tuple(e)
     return _weight_sum(n, (weight(t) for t in enum_ct(lam, n=n)))
+
+
+def consistency_oracle(delta, gamma, lam) -> bool:
+    """The consistency identity summed directly: a pairwise Bruhat test
+    and one coefficient count per term, with no memo."""
+    delta, gamma, lam = WeakComposition(delta), WeakComposition(gamma), Partition(lam)
+    n = len(delta)
+    if delta.size != gamma.size + lam.size:
+        return True
+    lhs = 0
+    for alpha in rearrangements(partition_of(delta), n):
+        if alpha.contains(gamma) and comp_bruhat_geq(delta, alpha):
+            lhs += coeff_b(gamma, lam, alpha)
+    rhs = 0
+    for beta in rearrangements(partition_of(gamma), n):
+        if delta.contains(beta) and comp_bruhat_geq(beta, gamma):
+            rhs += coeff_a(beta, lam, delta)
+    return lhs == rhs
 
 
 def expand_in_atoms_solve(p: Polynomial) -> dict[WeakComposition, int]:

@@ -114,6 +114,13 @@ def test_verify_small_all(capsys):
     assert out.strip().splitlines()[-1].endswith("instances passed")
 
 
+def test_verify_json_is_one_json_dumps(capsys):
+    code, out = run(capsys, ["verify", "all", "--max-n", "2", "--max-size", "2",
+                             "--max-lambda", "1", "--json"])
+    assert code == 0
+    assert out == json.dumps(json.loads(out)) + "\n"
+
+
 def test_verify_deterministic(capsys):
     argv = ["verify", "atoms", "--max-n", "2", "--max-size", "2",
             "--max-lambda", "1"]
@@ -200,6 +207,8 @@ def test_compute_atom_long_row(capsys):
     (["render"], '{"shape": [2], "rows": [[2, 1.5]]}'),
     (["count", "ct", "--outer", "1,2", "--content", "5"], None),
     (["count", "ct", "--outer", "1,2", "--content", "2,1"], None),
+    (["render"], '{"shape": [3, 3, 3], "inner": [2, 0, 1], '
+                 '"rows": [[1], [2, 1], [3, 2, 1]]}'),
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, argv, stdin):
     if stdin is not None:

@@ -1,13 +1,18 @@
 import pytest
 
+from conftest import consistency_oracle
+from skyline import lrrules, poly
 from skyline.errors import ShapeMismatch, SizeMismatch
-from skyline.lrrules import (coeff_a, coeff_b, coeff_classical, coeff_qs,
-                             iter_consistency_instances, pieri_single_box,
-                             sweep, verify_atom_theorem, verify_char_theorem,
-                             verify_consistency_identity, verify_qs_theorem)
-from skyline.poly import Polynomial, atom_poly, qs_poly, schur_poly
-from skyline.shapes import (WeakComposition, compositions, pad, partition_of,
-                            partitions, reverse, weak_compositions)
+from skyline.lrrules import (_bruhat_interval, _lr_table, _outer_candidates,
+                             coeff_a, coeff_b, coeff_classical, coeff_qs,
+                             iter_atom_instances, iter_consistency_instances,
+                             pieri_single_box, sweep, verify_atom_theorem,
+                             verify_char_theorem, verify_consistency_identity,
+                             verify_qs_theorem)
+from skyline.poly import Polynomial, atom_poly, clear_caches, qs_poly, schur_poly
+from skyline.shapes import (WeakComposition, comp_bruhat_geq, compositions, pad,
+                            partition_of, partitions, rearrangements, reverse,
+                            weak_compositions)
 
 
 def test_coeff_a():
@@ -165,6 +170,55 @@ def test_verify_consistency_samples():
     assert verify_consistency_identity((1, 1), (1, 0), (1,))
     for delta, gamma, lam in iter_consistency_instances(2, 2, 2):
         assert verify_consistency_identity(delta, gamma, lam)
+
+
+def test_consistency_matches_direct_sums():
+    instances = list(iter_consistency_instances(3, 3, 2))
+    clear_caches()
+    for inst in instances:
+        assert verify_consistency_identity(*inst) == consistency_oracle(*inst)
+    clear_caches()
+    sweep("atoms", 3, 3, 2)
+    sweep("chars", 3, 3, 2)
+    for inst in instances:
+        assert verify_consistency_identity(*inst) == consistency_oracle(*inst)
+
+
+def test_lr_tables_match_coefficients():
+    # tables filled by sweeps equal one coefficient call per outer shape
+    clear_caches()
+    sweep("atoms", 3, 3, 2)
+    sweep("chars", 3, 3, 2)
+    for gamma, lam, n in iter_atom_instances(3, 3, 2):
+        if lam.size == 0:
+            continue
+        for label, coeff in (("A", coeff_a), ("k", coeff_b)):
+            assert _lr_table(label, gamma, lam, n) == {
+                d: c for d in _outer_candidates(gamma, lam.size)
+                if (c := coeff(gamma, lam, d))}
+
+
+def test_bruhat_intervals_match_pairwise():
+    clear_caches()
+    for n in range(1, 5):
+        for size in range(5):
+            for g in weak_compositions(size, n):
+                rearr = list(rearrangements(partition_of(g), n))
+                assert _bruhat_interval(g, up=True) == tuple(
+                    h for h in rearr if comp_bruhat_geq(h, g))
+                assert _bruhat_interval(g, up=False) == tuple(
+                    h for h in rearr if comp_bruhat_geq(g, h))
+
+
+def test_clear_caches_starts_cold():
+    def run():
+        return sweep("chars", 2, 2, 1) + sweep("consistency", 2, 2, 1)
+    clear_caches()
+    first = run()
+    assert lrrules._memo and poly._demazure_cache
+    clear_caches()
+    assert not lrrules._memo and not poly._demazure_cache
+    assert run() == first
 
 
 def test_report_json():
