@@ -70,7 +70,7 @@ class NotInSpan(SkylineError):
 
 
 class NonIntegralCoefficient(SkylineError):
-    """A basis expansion produced a non-integer coefficient."""
+    """A polynomial term or a basis expansion with a non-integer coefficient."""
 
 
 class ShapeMismatch(SkylineError):

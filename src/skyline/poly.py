@@ -19,11 +19,11 @@ import json
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from operator import add
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .errors import (LengthMismatch, NotInSpan, TooManyParts, TooManyRows,
-                     VariableCountMismatch)
-from .shapes import Composition, Partition, WeakComposition, placements
+from .errors import (LengthMismatch, NonIntegralCoefficient, NotInSpan,
+                     TooManyParts, TooManyRows, VariableCountMismatch)
+from .shapes import Composition, Partition, WeakComposition, _as_ints, placements
 
 
 class Polynomial:
@@ -41,12 +41,21 @@ class Polynomial:
         clean: dict[tuple[int, ...], int] = {}
         if terms:
             for e, c in terms.items():
+                try:
+                    (c,) = _as_ints((c,))
+                except (ValueError, OverflowError):
+                    raise NonIntegralCoefficient(
+                        f"coefficient {c!r} is not an integer") from None
                 if c == 0:
                     continue
-                e = tuple(e)
-                if len(e) != n or any(x < 0 for x in e):
+                try:
+                    e = _as_ints(e)
+                    ok = len(e) == n and all(x >= 0 for x in e)
+                except (ValueError, OverflowError):
+                    ok = False
+                if not ok:
                     raise VariableCountMismatch(
-                        f"exponent {e} invalid for {n} variables")
+                        f"exponent {tuple(e)} invalid for {n} variables")
                 clean[e] = c
         self.terms = clean
 
@@ -293,18 +302,20 @@ def _heap_key(e: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(accumulate(-x for x in reversed(e[1:])))[::-1]
 
 
-def expand_in_atoms(p: Polynomial) -> dict[WeakComposition, int]:
-    """Write p as an integer combination of Demazure atoms.
+def _peel(p: Polynomial, lead: Callable[[tuple[int, ...]], object],
+          basis: Callable[[object, int], Polynomial]) -> dict:
+    """Write p in a basis that is unitriangular against the monomials.
 
-    Works per homogeneous component by peeling the monomial whose
-    exponent vector is maximal in suffix-sum dominance: every monomial
-    of an atom indexed by g is dominated by g (entries of row i never
-    exceed i), with x^g itself appearing exactly once, so the peeled
-    coefficient is the true expansion coefficient at every step.  The
-    candidates sit in a heap; an entry whose monomial has cancelled is
-    skipped when it comes up.
+    `lead(e)` is the index of the basis element whose largest monomial is
+    x^e, or None when no element leads with it; `basis(index, n)` is that
+    element.  Each homogeneous component is peeled from the top: the
+    monomial whose exponent is maximal in suffix-sum dominance can only
+    come from the element it leads, which has coefficient 1 there, so
+    its coefficient in p is the expansion coefficient.  The candidates
+    sit in a heap; an entry whose monomial has cancelled is skipped when
+    it comes up.  Raises NotInSpan when p is not in the span.
     """
-    result: dict[WeakComposition, int] = {}
+    result: dict = {}
     for _, comp in sorted(p.degree_components().items()):
         work = dict(comp)
         heap = [(_heap_key(e), e) for e in work]
@@ -317,8 +328,11 @@ def expand_in_atoms(p: Polynomial) -> dict[WeakComposition, int]:
                 continue
             rounds += 1
             if rounds > 10 ** 6:
-                raise NotInSpan("atom expansion did not terminate")
-            for m, cm in atom_poly(e, p.n).terms.items():
+                raise NotInSpan("the expansion did not terminate")
+            index = lead(e)
+            if index is None:
+                raise NotInSpan(f"no basis element leads with the monomial {e}")
+            for m, cm in basis(index, p.n).terms.items():
                 old = work.get(m)
                 nc = (old or 0) - c * cm
                 if not nc:
@@ -329,8 +343,15 @@ def expand_in_atoms(p: Polynomial) -> dict[WeakComposition, int]:
                     work[m] = nc
             if e in work:
                 raise NotInSpan(f"leading monomial {e} failed to cancel")
-            result[WeakComposition(e)] = c
+            result[index] = c
     return result
+
+
+def expand_in_atoms(p: Polynomial) -> dict[WeakComposition, int]:
+    """Write p as an integer combination of Demazure atoms.  The atom
+    A_g leads with x^g: every monomial of it is dominated by g (entries
+    of row i never exceed i), with x^g itself appearing exactly once."""
+    return _peel(p, WeakComposition, atom_poly)
 
 
 # Every memo of the package, so that clear_caches reaches them all; a module

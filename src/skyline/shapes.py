@@ -75,7 +75,10 @@ class Permutation(tuple):
     """A permutation of {1, ..., n} in one-line notation (images of 1..n)."""
 
     def __new__(cls, images: Sequence[int]):
-        images = tuple(int(v) for v in images)
+        try:
+            images = _as_ints(images)
+        except (ValueError, OverflowError) as exc:
+            raise InvalidShape(f"images must be integers ({exc})") from None
         if sorted(images) != list(range(1, len(images) + 1)):
             raise InvalidShape(f"not a permutation of 1..{len(images)}: {images}")
         return super().__new__(cls, images)

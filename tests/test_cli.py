@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import shlex
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -291,3 +294,57 @@ def test_cli_exit_code_contract(case):
         sys.stdin = saved
     assert code in (0, 1, 2), (argv, stdin, code)
     assert "Traceback" not in err.getvalue()
+
+
+def readme_commands():
+    """The lines of the README's command-line block as (pipeline stages,
+    trailing comment), with backslash continuations joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    for line in block.splitlines():
+        stages = [[]]
+        for word in shlex.split(line, comments=True):
+            if word == "|":
+                stages.append([])
+            else:
+                stages[-1].append(word)
+        if stages[0]:
+            yield stages, line.partition("#")[2].strip()
+
+
+def run_pipeline(stages):
+    """Run each `skyline` stage through main(argv) and any other stage as
+    a process, feeding each stage's output to the next; every stage must
+    exit 0."""
+    text = ""
+    for argv in stages:
+        if argv[0] == "skyline":
+            out = io.StringIO()
+            saved = sys.stdin
+            sys.stdin = io.StringIO(text)
+            try:
+                with contextlib.redirect_stdout(out):
+                    code = main(argv[1:])
+            finally:
+                sys.stdin = saved
+            assert code == 0, argv
+            text = out.getvalue()
+        else:
+            text = subprocess.run([sys.executable if argv[0] == "python3"
+                                   else argv[0], *argv[1:]], input=text,
+                                  capture_output=True, text=True,
+                                  check=True).stdout
+    return text
+
+
+def test_readme_commands():
+    commands = list(readme_commands())
+    assert len(commands) >= 10
+    for stages, comment in commands:
+        out = run_pipeline(stages)
+        if comment == "equals the Schur output":
+            schur = [["schur" if w == "qs" else w for w in stages[0]]]
+            assert out == run_pipeline(schur)
+        elif comment:
+            assert out.strip() == comment, stages

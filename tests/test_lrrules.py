@@ -2,14 +2,16 @@ import pytest
 
 from conftest import consistency_oracle
 from skyline import lrrules, poly
+from skyline.cli import main
 from skyline.errors import ShapeMismatch, SizeMismatch
 from skyline.lrrules import (_bruhat_interval, _lr_table, _outer_candidates,
                              coeff_a, coeff_b, coeff_classical, coeff_qs,
                              iter_atom_instances, iter_consistency_instances,
-                             pieri_single_box, sweep, verify_atom_theorem,
-                             verify_char_theorem, verify_consistency_identity,
-                             verify_qs_theorem)
-from skyline.poly import Polynomial, atom_poly, clear_caches, qs_poly, schur_poly
+                             iter_qs_instances, pieri_single_box, sweep,
+                             verify_atom_theorem, verify_char_theorem,
+                             verify_consistency_identity, verify_qs_theorem)
+from skyline.poly import (Polynomial, atom_poly, char_poly, clear_caches,
+                          qs_poly, schur_poly)
 from skyline.shapes import (WeakComposition, comp_bruhat_geq, compositions, pad,
                             partition_of, partitions, rearrangements, reverse,
                             weak_compositions)
@@ -236,3 +238,87 @@ def test_sweep_runner_deterministic():
     assert all(ok for _, ok, _ in once)
     with pytest.raises(ValueError):
         sweep("nope", 1, 1, 1)
+
+
+# basis letter -> (verify_*, basis polynomial, `skyline expand` basis,
+# coefficient name in lrrules, one product with a nonzero expansion)
+RULES = {
+    "A": (verify_atom_theorem, atom_poly, "atoms", "coeff_a", ((1, 0), (1,), 2)),
+    "k": (verify_char_theorem, char_poly, "chars", "coeff_b", ((0, 1), (1,), 2)),
+    "S": (verify_qs_theorem, qs_poly, "qs", "coeff_qs", ((1,), (1,), 2)),
+}
+
+
+@pytest.mark.parametrize("label, instances", [
+    ("A", iter_atom_instances), ("k", iter_atom_instances),
+    ("S", iter_qs_instances)])
+def test_peel_is_exact(label, instances):
+    # the peel alone stands for the product: its expansion rebuilds it
+    verify, basis = RULES[label][:2]
+    for shape, lam, n in instances(3, 3, 2):
+        report = verify(shape, lam, n)
+        assert report.ok
+        rebuilt = Polynomial.zero(n)
+        for index, c in report.expanded.items():
+            rebuilt = rebuilt + c * basis(index, n)
+        assert rebuilt == basis(shape, n) * schur_poly(lam, n)
+
+
+@pytest.fixture
+def cold_caches():
+    # a patched coefficient or basis must not leave its tables behind
+    clear_caches()
+    yield
+    clear_caches()
+
+
+def expand_cli(capsys, label, shape, lam, n):
+    code = main(["expand", RULES[label][2], "--shape", ",".join(map(str, shape)),
+                 "--lambda", ",".join(map(str, lam)), "--n", str(n)])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("label", list(RULES))
+def test_wrong_coefficient_fails(label, monkeypatch, capsys, cold_caches):
+    verify, _, _, name, (shape, lam, n) = RULES[label]
+    outer = min(verify(shape, lam, n).enumerated)
+    coeff = getattr(lrrules, name)
+    c = coeff(shape, lam, outer)
+    monkeypatch.setattr(lrrules, name,
+                        lambda s, l, o: coeff(s, l, o) + (o == outer))
+    clear_caches()
+    diff = f"shape {tuple(outer)}: enumerated {c + 1}, expanded {c}"
+    report = verify(shape, lam, n)
+    assert not report.ok and report.first_discrepancy == diff
+    clear_caches()
+    code, captured = expand_cli(capsys, label, shape, lam, n)
+    assert code == 1
+    assert captured.out.splitlines()[-1] == f"FAILED: {diff}"
+    assert "Traceback" not in captured.err
+
+
+def left_justified_atom(a, n):
+    return atom_poly(tuple(a) + (0,) * (n - len(a)), n)
+
+
+@pytest.mark.parametrize("label, name, patched, diff", [
+    # x1 * s_1 = x1^2 + x1*x2 is not quasisymmetric
+    ("S", "qs_poly", left_justified_atom,
+     "no basis element leads with the monomial (2, 0)"),
+    # a basis that is not unitriangular: its leading monomials never cancel
+    ("k", "char_poly", lambda g, n: 2 * char_poly(g, n),
+     "leading monomial (0, 2) failed to cancel"),
+    ("A", "atom_poly", lambda g, n: 2 * atom_poly(g, n),
+     "leading monomial (1, 1) failed to cancel"),
+], ids=["qs", "chars", "atoms"])
+def test_product_outside_the_span_fails(label, name, patched, diff, monkeypatch,
+                                        capsys, cold_caches):
+    verify, _, _, _, (shape, lam, n) = RULES[label]
+    monkeypatch.setattr(lrrules, name, patched)
+    report = verify(shape, lam, n)
+    assert not report.ok and report.expanded == {}
+    assert report.first_discrepancy == diff
+    code, captured = expand_cli(capsys, label, shape, lam, n)
+    assert code == 1
+    assert captured.out.splitlines()[-1] == f"FAILED: {diff}"
+    assert "Traceback" not in captured.err

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import atom_oracle, char_oracle, expand_in_atoms_solve, schur_oracle
-from skyline.errors import (LengthMismatch, TooManyParts, TooManyRows,
-                            VariableCountMismatch)
-from skyline.poly import (Polynomial, atom_poly, char_poly, expand_in_atoms,
-                          qs_poly, schur_poly)
+from skyline.errors import (LengthMismatch, NonIntegralCoefficient, NotInSpan,
+                            TooManyParts, TooManyRows, VariableCountMismatch)
+from skyline.lrrules import _qs_index
+from skyline.poly import (Polynomial, _peel, atom_poly, char_poly,
+                          expand_in_atoms, qs_poly, schur_poly)
 from skyline.shapes import (Permutation, WeakComposition, comp_bruhat_geq,
-                            partition_of, partitions, placements,
+                            compositions, partition_of, partitions, placements,
                             rearrangements, strongof, weak_compositions)
 
 
@@ -32,12 +33,17 @@ def test_polynomial_basics():
         Polynomial(2, {(1, 0, 0): 1})
 
 
-@pytest.mark.parametrize("e", [(1, 0, 0), (1,), (1, -1)])
+@pytest.mark.parametrize("e", [(1, 0, 0), (1,), (1, -1), (1.5, 0)])
 def test_public_constructors_validate_exponents(e):
     with pytest.raises(VariableCountMismatch):
         Polynomial(2, {e: 1})
     with pytest.raises(VariableCountMismatch):
         Polynomial.from_json({"n": 2, "terms": [{"e": list(e), "c": 1}]})
+    # coefficients must be whole numbers too
+    with pytest.raises(NonIntegralCoefficient):
+        Polynomial(2, {(1, 0): 0.5})
+    with pytest.raises(NonIntegralCoefficient):
+        Polynomial.from_json({"n": 2, "terms": [{"e": [1, 0], "c": 0.5}]})
 
 
 small_polys = st.builds(
@@ -248,6 +254,17 @@ def test_expand_in_atoms_basis_elements():
         for d in range(0, 4):
             for g in weak_compositions(d, n):
                 assert expand_in_atoms(atom_poly(g, n)) == {g: 1}
+    # the same peel in the character and QS bases, with the leading
+    # exponents the LR harness maps to their indices
+    for n in range(1, 5):
+        for d in range(5):
+            for g in weak_compositions(d, n):
+                assert _peel(char_poly(g, n), WeakComposition, char_poly) == {g: 1}
+            for a in compositions(d):
+                if len(a) <= n:
+                    assert _peel(qs_poly(a, n), _qs_index, qs_poly) == {a: 1}
+    with pytest.raises(NotInSpan):  # x1 = A_(1,0) is not quasisymmetric
+        _peel(atom_poly((1, 0), 2), _qs_index, qs_poly)
 
 
 def test_expand_in_atoms_schur():

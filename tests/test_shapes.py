@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import bruhat_closure_oracle
-from skyline.errors import IncomparableShapes, NoSuchPart, SizeMismatch
+from skyline.errors import (IncomparableShapes, InvalidShape, NoSuchPart,
+                            SizeMismatch)
 from skyline.shapes import (Composition, Partition, Permutation,
                             WeakComposition, bruhat_leq, comp_bruhat_geq,
                             min_sorting_perm, pad, parse_sequence, parse_skew,
@@ -22,6 +23,8 @@ def test_type_invariants():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Permutation((1, 1))
+    with pytest.raises(InvalidShape):  # not truncated to (1, 2)
+        Permutation([1.5, 2])
     assert WeakComposition((2, 1)) != WeakComposition((2, 1, 0))
     assert Composition((2, 1)) == (2, 1)
 
