@@ -3,56 +3,121 @@ Littlewood-Richardson tableau families, plus the shape-rearrangement
 construction that underlies the equivalence-class counts.
 
 All generators share one backtracking engine, `_search`, which uses an
-explicit stack, so no shape size meets the recursion limit.  Each
-generator only lays out its grid and two per-cell tables: the cells that
-cap each entry, and the triple checks that become decidable once the cell
-is placed.  Skyline fillings are placed in row reading order (bottom row
-first, left to right), in which every triple becomes checkable exactly
-when its last data cell is placed.
+explicit stack, so no shape size meets the recursion limit.  It fills a
+grid row by row and chooses each row's length as it reaches the row;
+each generator only lays out, for a row of a given length, the cells
+that cap each entry and the triple checks that become decidable once a
+cell is placed.  Skyline fillings are placed in row reading order
+(bottom row first, left to right).  In that order every triple between
+a row and the rows below it is known once the row's length is chosen,
+and becomes checkable exactly when its last data cell is placed.  So
+with free row lengths one search finds the LR tableaux of every outer
+shape at once (`_lr_counts`), and the fixed shapes of `enum_ssk_shape`,
+`enum_ct` and `enum_ssc` are the case of forced lengths.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from itertools import compress
+from typing import Callable, Iterator, Sequence
 
 from .errors import (InvalidShape, NotContreLattice, NotRearrangement,
                      SizeMismatch)
 from .contretab import ContreTableau
 from .fillings import (BasementKind, Filling, SkewShape, basement_values,
-                       enumerate_triples, is_inversion, is_ssk)
+                       is_inversion, is_ssk)
 from .shapes import Composition, Partition, WeakComposition, pad, placements
 from .words import col_word, is_contre_lattice, is_regular_contre_lattice
 
 Cell = tuple[int, int]  # (row, column) index into the grid
+Triple = tuple[Cell, Cell, Cell]
+# a cell to fill: row, column, caps (row, column, offset) and triple checks
+Step = tuple[int, int, Sequence[tuple[int, int, int]], list[Triple]]
+# a row's layout: the triples to check once its length is chosen, and its cells
+Layout = tuple[Sequence[Triple], list[Step]]
 
 
-def _search(grid: list[list[int]], cells: Sequence[Cell],
-            caps: Sequence[Sequence[tuple[int, int, int]]],
-            checks: Sequence[Sequence[tuple[Cell, Cell, Cell]]], n: int,
+def _search(grid: list[list[int]], delta: list[int],
+            rows: Sequence[tuple[int, int, int, int]],
+            layout: Callable[[int], Layout | None], size: int, n: int,
             content: Sequence[int] | None = None) -> Iterator[None]:
-    """Assign entries in [1, n] to `cells`, in order, in every way that
-    respects the caps, the triple checks and the exact content, if given.
+    """Place `size` entries in [1, n] in `grid`, row by row, in every way
+    that respects the layouts and the exact content, if given.
 
-    The entry at cell t is at most grid[r][c] - offset for each
-    (r, c, offset) in caps[t], and every triple in checks[t] must be an
-    inversion triple once it is placed.  The cells must hold 0 on entry,
-    and 0 marks a cell not yet placed.  Yields once per complete
-    assignment, with the grid holding it.  Cells are placed in the given
-    order and candidate entries tried in descending order.
+    rows[d] = (i, lo, shortest, longest): the d-th row filled, row i,
+    holds delta[i] - lo cells.  The search sets delta[i] as it reaches
+    the row, trying each length in [shortest, longest] in increasing
+    order; the last row takes every cell still unplaced.  layout(i) then
+    reads delta and returns None when that length is ruled out, or (now,
+    cells): the triples to check at once, and the row's cells in the
+    order they are filled, each (i, k, caps, checks) for the grid cell
+    (i, k).  A layout depends only on the lengths chosen so far, so it is
+    reused until the row before it gives up its length.
+
+    The entry at cell (i, k) is at most grid[r][c] - offset for each
+    (r, c, offset) in caps, and every triple in checks, like those in
+    `now`, must be an inversion triple once it is placed.  The cells must
+    hold 0 on entry, and 0 marks a cell not yet placed.  Yields once per
+    complete assignment, with grid and delta holding it.  Candidate
+    entries are tried in descending order.
     """
     if content is None:
         budget = None
-    elif sum(content) != len(cells):
+    elif sum(content) != size:
         return
     else:
-        budget = (list(content) + [0] * n)[:n]
+        budget = list(content)[:n]
+        n = len(budget)  # larger entries have no budget
+    last = len(rows) - 1
+    # The path: the depth d of a row, where its length is chosen, then one
+    # (i, k, caps, checks) per cell of that row.
+    steps: list = [0] if rows else []
+    # memo[d]: row d's layouts by length, from when row d - 1 takes its
+    # length until it gives it up; so memo[d + 1] exists iff row d has one
+    memo: list[dict] = [{}]
+    left = size  # cells not yet in a row with a length
     t = 0
     while t >= 0:
-        if t == len(cells):
+        if t == len(steps):
             yield
             t -= 1
             continue
-        i, k = cells[t]
+        step = steps[t]
+        if step.__class__ is int:  # choose the length of the row at depth `step`
+            i, lo, length, longest = rows[step]
+            del steps[t + 1:]
+            if len(memo) > step + 1:  # back at this row: release its length
+                memo.pop()
+                left += delta[i] - lo
+                length = delta[i] + 1
+            if longest > lo + left:
+                longest = lo + left
+            if step == last and length < lo + left:
+                length = lo + left
+            layouts = memo[step]
+            while length <= longest:
+                delta[i] = length
+                found = layouts.get(length, False)
+                if found is False:
+                    found = layouts[length] = layout(i)
+                if found is not None:
+                    for (ra, ca), (rb, cb), (rc, cc) in found[0]:
+                        if not is_inversion(grid[ra][ca], grid[rb][cb], grid[rc][cc]):
+                            break
+                    else:
+                        break
+                length += 1
+            if length <= longest:
+                left -= length - lo
+                memo.append({})
+                steps.extend(found[1])
+                if step < last:
+                    steps.append(step + 1)
+                t += 1
+            else:
+                t -= 1
+            continue
+        i, k, caps, checks = step
         row = grid[i]
         v = row[k]
         if v:  # back at cell t: release its entry and try the next lower one
@@ -61,12 +126,12 @@ def _search(grid: list[list[int]], cells: Sequence[Cell],
             v -= 1
         else:  # first visit since the cells before t changed
             v = n
-            for r, c, offset in caps[t]:
+            for r, c, offset in caps:
                 v = min(v, grid[r][c] - offset)
         while v > 0:
             if budget is None or budget[v - 1]:
                 row[k] = v
-                for (ra, ca), (rb, cb), (rc, cc) in checks[t]:
+                for (ra, ca), (rb, cb), (rc, cc) in checks:
                     if not is_inversion(grid[ra][ca], grid[rb][cb], grid[rc][cc]):
                         break
                 else:
@@ -81,6 +146,92 @@ def _search(grid: list[list[int]], cells: Sequence[Cell],
             t -= 1
 
 
+def _fixed(grid: list[list[int]], steps: list[Step], n: int,
+           content: Sequence[int] | None) -> Iterator[None]:
+    """_search over a fixed list of (i, k, caps, checks) cells, taken as
+    one row whose length is forced."""
+    return _search(grid, [0], [(0, 0, len(steps), len(steps))],
+                   lambda _: ((), steps), len(steps), n, content)
+
+
+def _skyline(inner: Sequence[int], basement: BasementKind, size: int,
+             content: Sequence[int] | None, outer: Sequence[int] | None = None,
+             trailing_zeros: bool = False
+             ) -> Iterator[tuple[list[list[int]], list[int]]]:
+    """The semistandard skyline fillings of `size` cells of shape
+    delta/inner on the basement: of the given outer shape, or of every
+    delta containing inner when outer is None, and then, with
+    trailing_zeros, only those delta whose zero parts all come last.
+
+    Yields (grid, delta) once per filling, both reused, so read them
+    before the next one.  grid[i][k] is the cell (i + 1, k); column 0 and
+    the inner cells hold the basement value of the row.
+    """
+    n = len(inner)
+    bvals = basement_values(basement, n)
+    longest = [g + size for g in inner] if outer is None else outer
+    grid = [[bvals[i]] * (inner[i] + 1) + [0] * (longest[i] - inner[i])
+            for i in range(n)]
+    delta = list(inner if outer is None else outer)
+
+    def layout(i: int) -> Layout | None:
+        # Each triple between row i and a row j below it is binned on its
+        # data cell in row i, or checked at once when its data cells all
+        # lie in row j.  A triple with no data cell reads (b, b', b) for
+        # two distinct basement values, always an inversion triple.
+        di, gi = delta[i], inner[i]
+        if trailing_zeros and di == 0 and any(delta[i + 1:]):
+            return None
+        now: list[Triple] = []
+        checks: list[list[Triple]] = [[] for _ in range(di - gi)]
+        for j in compress(range(i + 1, n), delta[i + 1:]):  # rows below, not empty
+            dj, gj = delta[j], inner[j]
+            if di >= dj:  # type A: (i,k), (j,k), (i,k-1)
+                for k in range(1, dj + 1):
+                    if k > gi:
+                        checks[k - gi - 1].append(((i, k), (j, k), (i, k - 1)))
+                    elif k > gj:
+                        now.append(((i, k), (j, k), (i, k - 1)))
+            else:  # type B: (j,k+1), (i,k), (j,k)
+                for k in range(di + 1):
+                    if k > gi:
+                        checks[k - gi - 1].append(((j, k + 1), (i, k), (j, k)))
+                    elif k >= gj:
+                        now.append(((j, k + 1), (i, k), (j, k)))
+        # the left neighbor always exists: a data, inner or basement cell
+        return now, [(i, k, ((i, k - 1, 0),), checks[k - gi - 1])
+                     for k in range(gi + 1, di + 1)]
+
+    if outer is None:
+        # bottom row first: in that order every triple is known once the
+        # length of its upper row is chosen
+        rows = [(i, inner[i], inner[i], longest[i]) for i in range(n - 1, -1, -1)]
+        search = _search(grid, delta, rows, layout, size, n, content)
+    else:
+        # every length is known: lay all rows out at once, with each
+        # triple checked at its last data cell in fill order
+        steps: list[Step] = []
+        order: dict[Cell, int] = {}
+        for i in range(n - 1, -1, -1):
+            now, cells = layout(i)
+            for tri in now:
+                steps[max(order[m] for m in tri if m in order)][3].append(tri)
+            for cell in cells:
+                order[cell[:2]] = len(steps)
+                steps.append(cell)
+        search = _fixed(grid, steps, n, content)
+    for _ in search:
+        yield grid, delta
+
+
+def _col_word(grid: list[list[int]], inner: Sequence[int],
+              delta: Sequence[int]) -> tuple[int, ...]:
+    """The column word of the filling in `grid`: data entries top to
+    bottom in each column, rightmost column first."""
+    return tuple(grid[i][k] for k in range(max(delta, default=0), 0, -1)
+                 for i in range(len(delta)) if inner[i] < k <= delta[i])
+
+
 def enum_ssk_shape(outer: Sequence[int], basement: BasementKind,
                    inner: Sequence[int] | None = None,
                    content: Sequence[int] | None = None,
@@ -91,33 +242,28 @@ def enum_ssk_shape(outer: Sequence[int], basement: BasementKind,
     contre-lattice."""
     shape = SkewShape(outer, inner)
     outer, inner, n = shape.outer, shape.inner, shape.nrows
-    bvals = basement_values(basement, n)
-    # grid[i][k] for 0-based row i; column 0 and the inner cells hold the
-    # basement value of the row.
-    grid = [[bvals[i]] * (inner[i] + 1) + [0] * (outer[i] - inner[i])
-            for i in range(n)]
-    cells = [(i, k) for i in range(n - 1, -1, -1)
-             for k in range(inner[i] + 1, outer[i] + 1)]
-    order = {cell: t for t, cell in enumerate(cells)}
-    # the left neighbor always exists: a data, inner or basement cell
-    caps = [[(i, k - 1, 0)] for i, k in cells]
-    # Bin each triple on its last data cell in fill order; triples made of
-    # basement and inner cells only are constant and checked up front.
-    checks: list[list[tuple[Cell, Cell, Cell]]] = [[] for _ in cells]
-    for tr in enumerate_triples(shape):
-        members = tuple((r - 1, c) for r, c in (tr.a, tr.b, tr.c))
-        data = [order[m] for m in members if m in order]
-        if not data:
-            if not is_inversion(*(grid[r][c] for r, c in members)):
-                return
-            continue
-        checks[max(data)].append(members)
+    for grid, _ in _skyline(inner, basement, shape.size, content, outer):
+        if not require_regular or is_regular_contre_lattice(
+                _col_word(grid, inner, outer)):
+            yield Filling(shape, basement,
+                          [grid[i][inner[i] + 1:] for i in range(n)])
 
-    for _ in _search(grid, cells, caps, checks, n, content):
-        f = Filling(shape, basement,
-                    [grid[i][inner[i] + 1:] for i in range(n)])
-        if not require_regular or is_regular_contre_lattice(col_word(f)):
-            yield f
+
+def _lr_counts(inner: Sequence[int], basement: BasementKind,
+               content: Sequence[int], trailing_zeros: bool = False
+               ) -> dict[tuple[int, ...], int]:
+    """The nonzero numbers of LR tableaux of shape delta/inner on the
+    basement with the given content (a regular contre-lattice column
+    word), by outer shape delta, from one search over every delta at
+    once; with trailing_zeros, only for delta whose zero parts come
+    last."""
+    counts: dict[tuple[int, ...], int] = {}
+    for grid, delta in _skyline(inner, basement, sum(content), content,
+                                trailing_zeros=trailing_zeros):
+        if is_regular_contre_lattice(_col_word(grid, inner, delta)):
+            key = tuple(delta)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 def enum_lrs(delta: Sequence[int], gamma: Sequence[int],
@@ -234,15 +380,15 @@ def enum_ct(outer: Sequence[int], inner: Sequence[int] = (), *, n: int,
     cells = [(r, c) for r in range(nrows)
              for c in range(inner[r] + 1, outer[r] + 1)]
     # capped by the data cell to the left and, strictly, by the one above
-    caps = []
+    steps = []
     for r, c in cells:
         cap = []
         if c > inner[r] + 1:
             cap.append((r, c - 1, 0))
         if r > 0 and inner[r - 1] < c <= outer[r - 1]:
             cap.append((r - 1, c, 1))
-        caps.append(cap)
-    for _ in _search(grid, cells, caps, [()] * len(cells), n, content):
+        steps.append((r, c, cap, []))
+    for _ in _fixed(grid, steps, n, content):
         yield ContreTableau(outer, [tuple(grid[r][inner[r] + 1:])
                                     for r in range(nrows)], inner)
 
@@ -276,5 +422,6 @@ def enum_ssc(beta: Sequence[int], n: int,
                 for k in range(1, bi + 1):
                     tri = ((j, k + 1), (i, k), (j, k))
                     checks[max(order[m] for m in tri)].append(tri)
-    for _ in _search(grid, cells, caps, checks, n, content):
+    steps = [(i, k, cap, check) for (i, k), cap, check in zip(cells, caps, checks)]
+    for _ in _fixed(grid, steps, n, content):
         yield tuple(tuple(row[1:]) for row in grid)

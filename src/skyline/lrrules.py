@@ -2,7 +2,10 @@
 characters, and quasisymmetric Schur polynomials, with verification
 harnesses that check every expansion two ways: tableau enumeration
 against exact polynomial arithmetic.  The harness peels each product in
-the rule's own basis, so it needs no change of basis.
+the rule's own basis, so it needs no change of basis, and counts the
+product's LR tableaux of every outer shape in one search per product
+(one per placement of the index for QS), not one per candidate outer
+shape.  The per-shape counts coeff_a, coeff_b and coeff_qs stay public.
 
 The consistency identity rests on the character decomposition into
 atoms, kappa_g = sum of atoms over weak compositions weakly above g in
@@ -18,11 +21,13 @@ from typing import Iterator, Sequence
 
 from .errors import NotInSpan, ShapeMismatch, SizeMismatch
 from .contretab import is_lr_skew_ct
-from .enumgen import count_lrc, enum_ct, enum_lrk, enum_lrs
+from .enumgen import _lr_counts, count_lrc, enum_ct, enum_lrk, enum_lrs
+from .fillings import BasementKind
 from .poly import _caches, _peel, atom_poly, char_poly, qs_poly, schur_poly
 from .shapes import (Composition, Partition, WeakComposition, comp_bruhat_geq,
-                     compositions, partition_of, partitions, rearrangements,
-                     rem_k, reverse, strongof, weak_compositions)
+                     compositions, partition_of, partitions, placements,
+                     rearrangements, rem_k, reverse, strongof,
+                     weak_compositions)
 
 
 # ---------------------------------------------------------------------------
@@ -202,29 +207,44 @@ def _qs_index(e: tuple[int, ...]) -> Composition | None:
     return beta if e[len(e) - len(beta):] == beta else None
 
 
-# One row per LR rule, keyed by the basis letter of the identity label;
-# _verify and _lr_table name the fields.  The last field maps an exponent
-# to the index of the basis element that leads with it: the atom A_g and
-# the character kappa_g lead with x^g, QS_beta with x^(0, ..., 0, beta).
-# The rows call the module-level functions by name when they run, so a
-# wrapper installed on one of those names (as perfbench/tracing.py does)
-# sees every call.
+def _qs_table(alpha: Composition, lam: Partition, n: int) -> dict:
+    """The QS table: LR skyline tableaux of shape delta/gamma with zeros
+    trailing in delta, summed over the placements gamma of alpha in n
+    rows, by delta without its zeros.  These are the classes that
+    count_lrc counts, padded to n rows."""
+    table: dict = {}
+    content = reverse(lam)
+    for gamma in placements(alpha, n):
+        for delta, c in _lr_counts(gamma, BasementKind.LARGE, content,
+                                   trailing_zeros=True).items():
+            beta = tuple(p for p in delta if p)
+            table[beta] = table.get(beta, 0) + c
+    return table
+
+
+# One row per LR rule, keyed by the basis letter of the identity label:
+# the index type, the basis, the table of LR tableau counts by outer shape
+# (one search per product: the atom rule on the large basement, the
+# character rule on reversed shapes over the shifted basement), and a map
+# from an exponent to the index of the basis element that leads with it:
+# the atom A_g and the character kappa_g lead with x^g, QS_beta with
+# x^(0, ..., 0, beta).  The rows call the module-level functions by name
+# when they run, so a wrapper installed on one of those names (as
+# perfbench/tracing.py does) sees every call.
 _THEOREMS = {
     "A": (WeakComposition,
           lambda g, n: atom_poly(g, n),
-          lambda g, lam, d: coeff_a(g, lam, d),
-          lambda g, lam, n: _outer_candidates(g, lam.size),
+          lambda g, lam, n: _lr_counts(g, BasementKind.LARGE, reverse(lam)),
           WeakComposition),
     "k": (WeakComposition,
           lambda g, n: char_poly(g, n),
-          lambda g, lam, d: coeff_b(g, lam, d),
-          lambda g, lam, n: _outer_candidates(g, lam.size),
+          lambda g, lam, n: {
+              d[::-1]: c for d, c in _lr_counts(
+                  g[::-1], BasementKind.SHIFTED, reverse(lam)).items()},
           WeakComposition),
     "S": (Composition,
           lambda a, n: qs_poly(a, n),
-          lambda a, lam, b: coeff_qs(a, lam, b),
-          lambda a, lam, n: (b for b in compositions(a.size + lam.size)
-                             if len(b) <= n),
+          lambda a, lam, n: _qs_table(a, lam, n),
           _qs_index),
 }
 
@@ -236,22 +256,15 @@ def _fmt(x) -> str:
 def _lr_table(label: str, shape: WeakComposition, lam: Partition, n: int
               ) -> dict:
     """The nonzero LR tableau counts of one product, by outer shape: the
-    coefficients of basis[shape] * s[lam] in its own basis.  This is the
-    one place a product's coefficients are counted; the table is kept in
-    the query's memo and must not be modified."""
+    coefficients of basis[shape] * s[lam] in its own basis, from the
+    rule's table search.  This is the one place a product's coefficients
+    are counted; the table is kept in the query's memo and must not be
+    modified."""
     key = (label, shape, lam, n)
     table = _memo.get(key)
     if table is None:
-        _, _, coeff, outer_shapes, _ = _THEOREMS[label]
-        if lam.size == 0:
-            table = {shape: 1}
-        else:
-            table = {}
-            for outer in outer_shapes(shape, lam, n):
-                c = coeff(shape, lam, outer)
-                if c:
-                    table[outer] = c
-        _memo[key] = table
+        table = _memo[key] = ({shape: 1} if lam.size == 0
+                              else _THEOREMS[label][2](shape, lam, n))
     return table
 
 
@@ -260,7 +273,7 @@ def _verify(label: str, shape: Sequence[int], lam: Sequence[int], n: int
     """Check one LR rule on one product: peel the product polynomial in
     the rule's own basis and compare the coefficients with the tableau
     counts.  A product outside the basis's span fails the check."""
-    index_type, basis, _, _, lead = _THEOREMS[label]
+    index_type, basis, _, lead = _THEOREMS[label]
     shape, lam = index_type(shape), Partition(lam)
     ident = f"{label}[{_fmt(shape)}] * s[{_fmt(lam)}]"
     lhs = basis(shape, n) * schur_poly(lam, n)

@@ -237,15 +237,19 @@ _demazure_cache: dict[tuple[tuple[int, ...], bool], Polynomial] = {}
 def _demazure(g: tuple[int, ...], atom: bool) -> Polynomial:
     """The atom A_g (`atom`) or the character kappa_g, from operators.
 
-    Both are x^g when g weakly decreases.  Otherwise, at the first ascent
-    i of g (g_i < g_{i+1}), A_g = pi-bar_i A_{s_i g} and kappa_g = pi_i
+    Both are x^g when g weakly decreases.  Otherwise, at an ascent i of g
+    (g_i < g_{i+1}), A_g = pi-bar_i A_{s_i g} and kappa_g = pi_i
     kappa_{s_i g} (Mason, arXiv:0707.4267; Lascoux-Schuetzenberger, "Keys
-    and standard bases").  The chain is walked iteratively, so no index
-    meets the recursion limit.
+    and standard bases").  Any ascent gives the same polynomial; the one
+    with the largest g_{i+1} (the first such) keeps the intermediate
+    polynomials small, where the first ascent can build one of 132,802
+    terms on the way to the monomial A_(0,1,...,9).  The chain is walked
+    iteratively, so no index meets the recursion limit.
     """
     chain = []
     while (g, atom) not in _demazure_cache:
-        i = next((i for i in range(len(g) - 1) if g[i] < g[i + 1]), None)
+        i = max((i for i in range(len(g) - 1) if g[i] < g[i + 1]),
+                key=lambda i: g[i + 1], default=None)
         if i is None:
             _demazure_cache[g, atom] = Polynomial._trusted(len(g), {g: 1})
             break

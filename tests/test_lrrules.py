@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import pytest
 
 from conftest import consistency_oracle
@@ -12,9 +15,9 @@ from skyline.lrrules import (_bruhat_interval, _lr_table, _outer_candidates,
                              verify_consistency_identity, verify_qs_theorem)
 from skyline.poly import (Polynomial, atom_poly, char_poly, clear_caches,
                           qs_poly, schur_poly)
-from skyline.shapes import (WeakComposition, comp_bruhat_geq, compositions, pad,
-                            partition_of, partitions, rearrangements, reverse,
-                            weak_compositions)
+from skyline.shapes import (Partition, WeakComposition, comp_bruhat_geq,
+                            compositions, pad, partition_of, partitions,
+                            rearrangements, reverse, weak_compositions)
 
 
 def test_coeff_a():
@@ -200,6 +203,42 @@ def test_lr_tables_match_coefficients():
                 if (c := coeff(gamma, lam, d))}
 
 
+# basis letter -> (coefficient, the outer shapes the rule ranges over)
+COEFFICIENTS = {
+    "A": (coeff_a, lambda g, lam, n: _outer_candidates(g, lam.size)),
+    "k": (coeff_b, lambda g, lam, n: _outer_candidates(g, lam.size)),
+    "S": (coeff_qs, lambda a, lam, n: (b for b in compositions(a.size + lam.size)
+                                       if len(b) <= n)),
+}
+
+
+@pytest.mark.parametrize("label, instances", [
+    ("A", iter_atom_instances), ("k", iter_atom_instances),
+    ("S", iter_qs_instances)])
+def test_tables_match_one_coefficient_per_outer_shape(label, instances,
+                                                      cold_caches):
+    # one search per product gives what one count per outer shape gives
+    coeff, outers = COEFFICIENTS[label]
+    for shape, lam, n in instances(4, 4, 3):
+        table = _lr_table(label, shape, lam, n)
+        if lam.size == 0:
+            assert table == {shape: 1}
+        else:
+            assert table == {outer: c for outer in outers(shape, lam, n)
+                             if (c := coeff(shape, lam, outer))}, (shape, lam, n)
+
+
+def test_table_search_does_not_recurse(cold_caches):
+    # 300 rows and one cell: every tableau crosses all 300 rows
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        table = _lr_table("A", WeakComposition((0,) * 300), Partition((1,)), 300)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(table) == 300 and set(table.values()) == {1}
+
+
 def test_bruhat_intervals_match_pairwise():
     clear_caches()
     for n in range(1, 5):
@@ -282,10 +321,12 @@ def expand_cli(capsys, label, shape, lam, n):
 def test_wrong_coefficient_fails(label, monkeypatch, capsys, cold_caches):
     verify, _, _, name, (shape, lam, n) = RULES[label]
     outer = min(verify(shape, lam, n).enumerated)
-    coeff = getattr(lrrules, name)
-    c = coeff(shape, lam, outer)
-    monkeypatch.setattr(lrrules, name,
-                        lambda s, l, o: coeff(s, l, o) + (o == outer))
+    c = getattr(lrrules, name)(shape, lam, outer)
+    # the rule's table, which the verification reads, counts one too many
+    row = lrrules._THEOREMS[label]
+    table = row[2]
+    monkeypatch.setitem(lrrules._THEOREMS, label, row[:2] + (
+        lambda *product: {**table(*product), outer: c + 1},) + row[3:])
     clear_caches()
     diff = f"shape {tuple(outer)}: enumerated {c + 1}, expanded {c}"
     report = verify(shape, lam, n)

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,7 @@ from conftest import atom_oracle, char_oracle, expand_in_atoms_solve, schur_orac
 from skyline.errors import (LengthMismatch, NonIntegralCoefficient, NotInSpan,
                             TooManyParts, TooManyRows, VariableCountMismatch)
 from skyline.lrrules import _qs_index
-from skyline.poly import (Polynomial, _peel, atom_poly, char_poly,
+from skyline.poly import (Polynomial, _peel, atom_poly, char_poly, clear_caches,
                           expand_in_atoms, qs_poly, schur_poly)
 from skyline.shapes import (Permutation, WeakComposition, comp_bruhat_geq,
                             compositions, partition_of, partitions, placements,
@@ -150,6 +151,18 @@ def test_long_operator_chain():
     # the dominant index must be iterative
     g = (0,) * 1199 + (1,)
     assert atom_poly(g, 1200) == Polynomial.monomial(g)
+
+
+def test_increasing_atom_is_fast():
+    # A_(0,1,...,9) is one monomial; the walk must not build large
+    # intermediate polynomials on the way to it
+    clear_caches()
+    g = tuple(range(10))
+    start = time.perf_counter()
+    p = atom_poly(g, 10)
+    elapsed = time.perf_counter() - start
+    assert p == Polynomial.monomial(g)
+    assert elapsed < 0.5, f"{elapsed:.2f}s"
 
 
 def test_char_small():
