@@ -6,8 +6,7 @@ enumeration that proves the coefficients.
 """
 
 from .errors import SkylineError
-from .shapes import (Composition, Partition, Permutation, WeakComposition,
-                     bruhat_leq, comp_bruhat_geq, min_sorting_perm,
+from .shapes import (Composition, Partition, WeakComposition, comp_bruhat_geq,
                      partition_of, rem_k, reverse, strongof)
 from .fillings import (BasementKind, Filling, SkewShape, basement_values,
                        classify_triple, enumerate_triples, is_nonattacking,

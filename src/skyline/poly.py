@@ -147,24 +147,6 @@ class Polynomial:
             comps.setdefault(sum(e), {})[e] = c
         return comps
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degree_components()) <= 1
-
-    def specialize_last_to_zero(self) -> "Polynomial":
-        """Set x_n = 0 and forget the last variable."""
-        out = {e[:-1]: c for e, c in self.terms.items() if e[-1] == 0}
-        return Polynomial._trusted(self.n - 1, out)
-
-    def permute_variables(self, perm: Sequence[int]) -> "Polynomial":
-        """Apply x_i -> x_{perm(i)} (perm in one-line notation, 1-based)."""
-        out: dict[tuple[int, ...], int] = {}
-        for e, c in self.terms.items():
-            ne = [0] * self.n
-            for i, x in enumerate(e):
-                ne[perm[i] - 1] = x
-            out[tuple(ne)] = c
-        return Polynomial(self.n, out)
-
     # -- presentation -------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:

@@ -3,12 +3,13 @@
 Weak compositions carry an explicit length: (2, 1) and (2, 1, 0) are
 different objects, because basements and row indexing depend on the
 number of parts.  All types are immutable tuples and can be shared
-freely.
+freely.  The Bruhat order counts, in each prefix, the parts at or above
+each threshold; it builds no permutation.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
 from .errors import IncomparableShapes, InvalidShape, NoSuchPart, SizeMismatch
@@ -71,43 +72,6 @@ class Partition(Composition):
         return self
 
 
-class Permutation(tuple):
-    """A permutation of {1, ..., n} in one-line notation (images of 1..n)."""
-
-    def __new__(cls, images: Sequence[int]):
-        try:
-            images = _as_ints(images)
-        except (ValueError, OverflowError) as exc:
-            raise InvalidShape(f"images must be integers ({exc})") from None
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise InvalidShape(f"not a permutation of 1..{len(images)}: {images}")
-        return super().__new__(cls, images)
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
-
-    def __call__(self, i: int) -> int:
-        return self[i - 1]
-
-    def inversions(self) -> int:
-        """Coxeter length: the number of pairs i < j with w(i) > w(j)."""
-        n = len(self)
-        return sum(1 for i in range(n) for j in range(i + 1, n) if self[i] > self[j])
-
-    def apply_to_positions(self, seq: Sequence) -> tuple:
-        """Move the item at position i to position w(i); returns the new tuple."""
-        if len(seq) != len(self):
-            raise SizeMismatch(f"cannot apply size-{len(self)} permutation to {seq}")
-        out = [None] * len(seq)
-        for i, v in enumerate(seq):
-            out[self[i] - 1] = v
-        return tuple(out)
-
-    def __repr__(self):
-        return f"Permutation{tuple(self)!r}"
-
-
 def strongof(g: Sequence[int]) -> Composition:
     """Drop the zero parts of a weak composition, keeping the order."""
     return Composition(p for p in g if p != 0)
@@ -150,55 +114,25 @@ def partition_of(g: Sequence[int]) -> Partition:
     return Partition(sorted((p for p in g if p != 0), reverse=True))
 
 
-def min_sorting_perm(g: Sequence[int]) -> Permutation:
-    """The minimal-length permutation moving g's parts into nonincreasing order.
-
-    Realized as the stable descending sort: position i goes to slot pi(i),
-    equal parts keeping their original relative order.  Applying the result
-    to positions of g yields partition_of(g) padded with zeros.
-    """
-    n = len(g)
-    order = sorted(range(n), key=lambda i: (-g[i], i))
-    pi = [0] * n
-    for slot, i in enumerate(order, start=1):
-        pi[i] = slot
-    return Permutation(pi)
-
-
-def bruhat_leq(u: Permutation, v: Permutation) -> bool:
-    """Strong Bruhat order via the rank-matrix criterion.
-
-    u <= v iff for all i, j the count of k <= i with u(k) >= j is at most
-    the same count for v.
-    """
-    n = len(u)
-    if len(v) != n:
-        raise SizeMismatch(f"permutations of different sizes: {len(u)} vs {len(v)}")
-    cu = [0] * (n + 2)
-    cv = [0] * (n + 2)
-    for i in range(n):
-        for j in range(1, u[i] + 1):
-            cu[j] += 1
-        for j in range(1, v[i] + 1):
-            cv[j] += 1
-        for j in range(1, n + 1):
-            if cu[j] > cv[j]:
-                return False
-    return True
-
-
 def comp_bruhat_geq(b: Sequence[int], a: Sequence[int]) -> bool:
-    """Bruhat order on weak compositions: b >= a iff pi(b) <= pi(a).
-
-    Only rearrangements of one another are comparable.
-    """
+    """Bruhat order on rearrangements of one partition: b >= a iff, for
+    every threshold t and prefix length k, b has at least as many parts
+    >= t among its first k parts as a has (the tableau criterion for a
+    parabolic quotient of the symmetric group).  Thresholds other than
+    the positive parts of b add no condition."""
     if len(b) != len(a):
         raise SizeMismatch(f"lengths differ: {len(b)} vs {len(a)}")
     if partition_of(b) != partition_of(a):
         raise IncomparableShapes(
             f"different underlying partitions: {tuple(b)} vs {tuple(a)}"
         )
-    return bruhat_leq(min_sorting_perm(b), min_sorting_perm(a))
+    for t in set(b) - {0}:
+        surplus = 0
+        for x, y in zip(b, a):
+            surplus += (x >= t) - (y >= t)
+            if surplus < 0:
+                return False
+    return True
 
 
 def pad(g: Sequence[int], n: int) -> WeakComposition:
@@ -210,14 +144,17 @@ def pad(g: Sequence[int], n: int) -> WeakComposition:
 
 
 def weak_compositions(total: int, length: int) -> Iterator[WeakComposition]:
-    """All weak compositions of `total` into exactly `length` parts."""
-    if length == 0:
-        if total == 0:
+    """All weak compositions of `total` into exactly `length` parts, in
+    lexicographic order: the gaps between length - 1 bars chosen, in
+    lexicographic order, among total + length - 1 slots."""
+    if total < 0 or length == 0:
+        if total == length == 0:
             yield WeakComposition()
         return
-    for first in range(total + 1):
-        for rest in weak_compositions(total - first, length - 1):
-            yield WeakComposition((first,) + tuple(rest))
+    slots = total + length - 1
+    for bars in combinations(range(slots), length - 1):
+        yield WeakComposition(tuple(
+            hi - lo - 1 for lo, hi in zip((-1,) + bars, bars + (slots,))))
 
 
 def compositions(total: int) -> Iterator[Composition]:
@@ -257,24 +194,38 @@ def rearrangements(lam: Sequence[int], n: int) -> Iterator[WeakComposition]:
 
 def placements(alpha: Sequence[int], length: int, bound: Sequence[int] | None = None
                ) -> Iterator[WeakComposition]:
-    """Weak compositions g of the given length with strongof(g) = alpha.
-
-    With `bound` set, only yields g contained componentwise in bound.
-    """
-    alpha = tuple(alpha)
-    out = [0] * length
-
-    def place(t: int, pos: int) -> Iterator[WeakComposition]:
-        if t == len(alpha):
+    """Weak compositions g of the given length with strongof(g) = alpha, in
+    lexicographic order of the parts' positions; with `bound` set, only
+    those contained componentwise in bound.  The positions are kept on a
+    stack, and no position is tried that leaves the later parts no room."""
+    alpha, m = tuple(alpha), len(alpha)
+    if bound is None:
+        bound = [max(alpha, default=0)] * length
+    # last[t]: part t's last position, with the later parts as late as they fit
+    last, i = [0] * m, length
+    for t in reversed(range(m)):
+        i -= 1
+        while i >= 0 and alpha[t] > bound[i]:
+            i -= 1
+        last[t] = i
+    out, pos, i = [0] * length, [], 0  # pos[t]: part t's position; i: next try
+    while True:
+        t = len(pos)
+        if t == m:
             yield WeakComposition(out)
-            return
-        for i in range(pos, length - (len(alpha) - t) + 1):
-            if bound is None or alpha[t] <= bound[i]:
+        else:
+            while i <= last[t] and alpha[t] > bound[i]:
+                i += 1
+            if i <= last[t]:
                 out[i] = alpha[t]
-                yield from place(t + 1, i + 1)
-                out[i] = 0
-
-    yield from place(0, 0)
+                pos.append(i)
+                i += 1
+                continue
+        if not pos:
+            return
+        i = pos.pop()
+        out[i] = 0
+        i += 1
 
 
 def parse_sequence(text: str) -> WeakComposition:
@@ -283,11 +234,3 @@ def parse_sequence(text: str) -> WeakComposition:
     if text in ("", "-", "()"):
         return WeakComposition()
     return WeakComposition(text.split(","))
-
-
-def parse_skew(text: str) -> tuple[WeakComposition, WeakComposition | None]:
-    """Parse `delta/gamma` skew-shape syntax; the inner shape is optional."""
-    if "/" in text:
-        outer, inner = text.split("/", 1)
-        return parse_sequence(outer), parse_sequence(inner)
-    return parse_sequence(text), None

@@ -34,13 +34,6 @@ def content(w: Iterable[int]) -> WeakComposition:
     return WeakComposition(counts)
 
 
-def word_str(w: Sequence[int]) -> str:
-    """Digit string when all entries are single digits, else comma-separated."""
-    if all(v <= 9 for v in w):
-        return "".join(str(v) for v in w)
-    return ",".join(str(v) for v in w)
-
-
 def is_contre_lattice(w: Sequence[int]) -> bool:
     """Every prefix has at least as many j as j-1, for 1 < j <= max(w)."""
     w = tuple(w)

@@ -10,13 +10,12 @@ import pytest
 
 from skyline.contretab import ContreTableau
 from skyline.enumgen import enum_ct, enum_ssk_shape
-from skyline.errors import NonIntegralCoefficient, NotInSpan
+from skyline.errors import NonIntegralCoefficient, NotInSpan, SizeMismatch
 from skyline.fillings import BasementKind, Filling, SkewShape
 from skyline.lrrules import coeff_a, coeff_b
 from skyline.poly import Polynomial, atom_poly
-from skyline.shapes import (Partition, Permutation, WeakComposition,
-                            comp_bruhat_geq, partition_of, rearrangements,
-                            weak_compositions)
+from skyline.shapes import (Partition, WeakComposition, comp_bruhat_geq,
+                            partition_of, rearrangements, weak_compositions)
 
 
 # ---------------------------------------------------------------------------
@@ -115,18 +114,58 @@ LRC_EXAMPLE = {
 # oracles and sweep domains
 
 
-def bruhat_closure_oracle(n: int) -> dict[tuple[Permutation, Permutation], bool]:
+def word_str(w) -> str:
+    """Digit string when all entries are single digits, else comma-separated."""
+    return ("" if all(v <= 9 for v in w) else ",").join(map(str, w))
+
+
+# Permutations are tuples in one-line notation (the images of 1..n).
+
+
+def inversions(w) -> int:
+    """Coxeter length: the number of pairs i < j with w(i) > w(j)."""
+    return sum(1 for i, j in itertools.combinations(range(len(w)), 2)
+               if w[i] > w[j])
+
+
+def apply_to_positions(w, seq) -> tuple:
+    """Move the item at position i to position w(i)."""
+    out = [None] * len(seq)
+    for i, v in enumerate(seq):
+        out[w[i] - 1] = v
+    return tuple(out)
+
+
+def min_sorting_perm(g) -> tuple[int, ...]:
+    """The minimal-length permutation moving g's parts into nonincreasing
+    order: the stable descending sort sends position i to slot w(i)."""
+    w = [0] * len(g)
+    for slot, i in enumerate(sorted(range(len(g)), key=lambda i: (-g[i], i)), 1):
+        w[i] = slot
+    return tuple(w)
+
+
+def bruhat_leq(u, v) -> bool:
+    """Strong Bruhat order by the rank-matrix criterion: u <= v iff for all
+    i, j the count of k <= i with u(k) >= j is at most that count for v."""
+    if len(u) != len(v):
+        raise SizeMismatch(f"permutations of different sizes: {len(u)} vs {len(v)}")
+    return all(sum(x >= j for x in u[:i]) <= sum(x >= j for x in v[:i])
+               for i in range(1, len(u) + 1) for j in range(1, len(u) + 1))
+
+
+def bruhat_closure_oracle(n: int) -> dict[tuple[tuple, tuple], bool]:
     """Strong Bruhat order from covering relations (u -> u.t, length +1)."""
-    perms = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+    perms = list(itertools.permutations(range(1, n + 1)))
     covers = {u: [] for u in perms}
     for u in perms:
-        lu = u.inversions()
+        lu = inversions(u)
         for i in range(n):
             for j in range(i + 1, n):
                 v = list(u)
                 v[i], v[j] = v[j], v[i]
-                v = Permutation(v)
-                if v.inversions() == lu + 1:
+                v = tuple(v)
+                if inversions(v) == lu + 1:
                     covers[u].append(v)
     leq = {}
     for u in perms:

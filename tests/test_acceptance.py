@@ -6,7 +6,7 @@ import contextlib
 import itertools
 import time
 
-from conftest import LRC_EXAMPLE, skew_shapes
+from conftest import LRC_EXAMPLE, skew_shapes, word_str
 from skyline.contretab import rho, rho_inv
 from skyline.enumgen import enum_ct, enum_ssk_shape, lrc_representatives, reshape
 from skyline.fillings import (BasementKind, Filling, SkewShape, is_nonattacking,
@@ -20,7 +20,7 @@ from skyline.shapes import (Composition, WeakComposition, comp_bruhat_geq,
                             rem_k, reverse, strongof, weak_compositions)
 from skyline.words import (col_word, column_sets, is_contre_lattice,
                            is_loosely_contre_lattice,
-                           is_regular_contre_lattice, row_word, word_str)
+                           is_regular_contre_lattice, row_word)
 
 
 @contextlib.contextmanager

@@ -199,6 +199,14 @@ def test_compute_atom_long_row(capsys):
     assert code == 0 and out.strip() == "x1^1200"
 
 
+def test_compute_qs_many_parts(capsys):
+    # 1,100 parts: placing the index must not recurse per part
+    code, out = run(capsys, ["compute", "qs", "--shape", ",".join(["1"] * 1100),
+                             "--n", "1100"])
+    assert code == 0
+    assert out.strip() == "*".join(f"x{i}" for i in range(1, 1101))
+
+
 @pytest.mark.parametrize("argv, stdin", [
     (["count", "lrs", "--outer", "a,b", "--inner", "0,0", "--content", "1"], None),
     (["compute", "schur", "--shape", "1,2", "--n", "2"], None),

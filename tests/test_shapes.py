@@ -1,17 +1,18 @@
+import inspect
 import itertools
+import sys
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import bruhat_closure_oracle
-from skyline.errors import (IncomparableShapes, InvalidShape, NoSuchPart,
-                            SizeMismatch)
-from skyline.shapes import (Composition, Partition, Permutation,
-                            WeakComposition, bruhat_leq, comp_bruhat_geq,
-                            min_sorting_perm, pad, parse_sequence, parse_skew,
-                            partition_of, partitions, placements,
-                            rearrangements, rem_k, reverse, strongof,
-                            weak_compositions)
+from conftest import (apply_to_positions, bruhat_closure_oracle, bruhat_leq,
+                      inversions, min_sorting_perm)
+from skyline.errors import IncomparableShapes, NoSuchPart, SizeMismatch
+from skyline.shapes import (Composition, Partition, WeakComposition,
+                            comp_bruhat_geq, pad, parse_sequence, partition_of,
+                            partitions, placements, rearrangements, rem_k,
+                            reverse, strongof, weak_compositions)
 
 
 def test_type_invariants():
@@ -21,10 +22,6 @@ def test_type_invariants():
         Composition((1, 0))
     with pytest.raises(ValueError):
         Partition((1, 2))
-    with pytest.raises(ValueError):
-        Permutation((1, 1))
-    with pytest.raises(InvalidShape):  # not truncated to (1, 2)
-        Permutation([1.5, 2])
     assert WeakComposition((2, 1)) != WeakComposition((2, 1, 0))
     assert Composition((2, 1)) == (2, 1)
 
@@ -97,19 +94,18 @@ def brute_min_sorter(g):
     """All minimal-length permutations arranging g nonincreasingly."""
     n = len(g)
     sorters = []
-    for p in itertools.permutations(range(1, n + 1)):
-        w = Permutation(p)
-        arranged = w.apply_to_positions(g)
+    for w in itertools.permutations(range(1, n + 1)):
+        arranged = apply_to_positions(w, g)
         if all(a >= b for a, b in zip(arranged, arranged[1:])):
             sorters.append(w)
-    best = min(w.inversions() for w in sorters)
-    return [w for w in sorters if w.inversions() == best]
+    best = min(map(inversions, sorters))
+    return [w for w in sorters if inversions(w) == best]
 
 
 def test_min_sorting_perm_examples():
-    assert min_sorting_perm((3, 2, 1)) == Permutation.identity(3)
-    assert min_sorting_perm((0, 1)) == Permutation((2, 1))
-    assert min_sorting_perm((1, 0, 2)) == Permutation((2, 3, 1))  # brute forced
+    assert min_sorting_perm((3, 2, 1)) == (1, 2, 3)
+    assert min_sorting_perm((0, 1)) == (2, 1)
+    assert min_sorting_perm((1, 0, 2)) == (2, 3, 1)  # brute forced
 
 
 def test_min_sorting_perm_brute_force():
@@ -124,31 +120,30 @@ def test_min_sorting_perm_sorts():
     for n in range(1, 5):
         for d in range(0, 5):
             for g in weak_compositions(d, n):
-                arranged = min_sorting_perm(g).apply_to_positions(g)
+                arranged = apply_to_positions(min_sorting_perm(g), g)
                 assert arranged == tuple(pad(partition_of(g), n))
 
 
 def test_bruhat_leq_basics():
-    e = Permutation.identity(3)
-    for p in itertools.permutations((1, 2, 3)):
-        v = Permutation(p)
+    e = (1, 2, 3)
+    for v in itertools.permutations((1, 2, 3)):
         assert bruhat_leq(e, v)
         assert bruhat_leq(v, v)
     with pytest.raises(SizeMismatch):
-        bruhat_leq(Permutation((1, 2)), Permutation((1, 2, 3)))
+        bruhat_leq((1, 2), (1, 2, 3))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_bruhat_leq_matches_closure_oracle(n):
     oracle = bruhat_closure_oracle(n)
-    perms = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+    perms = list(itertools.permutations(range(1, n + 1)))
     for u in perms:
         for v in perms:
             assert bruhat_leq(u, v) == oracle[(u, v)]
 
 
 def test_bruhat_leq_partial_order():
-    perms = [Permutation(p) for p in itertools.permutations((1, 2, 3, 4))]
+    perms = list(itertools.permutations((1, 2, 3, 4)))
     for u in perms:
         for v in perms:
             if bruhat_leq(u, v) and bruhat_leq(v, u):
@@ -170,6 +165,15 @@ def test_comp_bruhat_geq():
         comp_bruhat_geq((2, 1), (1, 1))
     with pytest.raises(SizeMismatch):
         comp_bruhat_geq((2, 1), (2, 1, 0))
+    # every pair of rearrangements against the rank-matrix oracle
+    for n in range(1, 6):
+        for size in range(6):
+            for lam in partitions(size):
+                shapes = list(rearrangements(lam, n))
+                for a in shapes:
+                    for b in shapes:
+                        assert comp_bruhat_geq(b, a) == bruhat_leq(
+                            min_sorting_perm(b), min_sorting_perm(a))
 
 
 def test_comp_bruhat_geq_partial_order_on_rearrangements():
@@ -187,6 +191,7 @@ def test_comp_bruhat_geq_partial_order_on_rearrangements():
 
 def test_generators():
     assert len(list(weak_compositions(3, 2))) == 4
+    assert list(weak_compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
     assert len(list(partitions(4))) == 5
     assert sorted(rearrangements((1, 1), 3)) == \
         [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
@@ -194,11 +199,29 @@ def test_generators():
         [(2, 1, 0), (2, 0, 1), (0, 2, 1)]
 
 
+def test_generators_do_not_recurse():
+    # 300 parts: neither generator may recurse per part
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        placed = list(placements((1,) * 300, 301))
+        spread = list(weak_compositions(1, 300))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert placed[0] == (1,) * 300 + (0,) and len(placed) == 301
+    assert spread[0] == (0,) * 299 + (1,) and len(spread) == 300
+
+
+def test_placements_skip_dead_ends():
+    # 24 ones under a bound with room for 25: a search that places each
+    # part wherever it fits visits millions of dead ends
+    start = time.perf_counter()
+    found = list(placements((1,) * 24, 49, bound=(1,) * 25 + (0,) * 24))
+    assert time.perf_counter() - start < 1
+    assert len(found) == 25 and found[-1] == (0,) + (1,) * 24 + (0,) * 24
+
+
 def test_parsing():
     assert parse_sequence("2,0,3,1,2") == (2, 0, 3, 1, 2)
     assert parse_sequence("") == ()
     assert parse_sequence("-") == ()
-    outer, inner = parse_skew("3,1,4,2,5/2,0,3,1,2")
-    assert outer == (3, 1, 4, 2, 5) and inner == (2, 0, 3, 1, 2)
-    outer, inner = parse_skew("2,1")
-    assert outer == (2, 1) and inner is None

@@ -1,12 +1,11 @@
 import pytest
 
-from conftest import all_ssk
+from conftest import all_ssk, word_str
 from skyline.errors import DuplicateInColumn
 from skyline.fillings import BasementKind, Filling, SkewShape, weight_monomial
 from skyline.words import (col_word, column_sets, content, is_contre_lattice,
                            is_loosely_contre_lattice,
-                           is_regular_contre_lattice, loose_word, row_word,
-                           word_str)
+                           is_regular_contre_lattice, loose_word, row_word)
 
 
 def test_reading_words(ssk_large_skew_example, lrs_example, lrk_example):
