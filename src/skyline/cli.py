@@ -67,6 +67,9 @@ def _cmd_count(args) -> int:
 def _cmd_verify(args) -> int:
     bounds = {"max_n": args.max_n, "max_size": args.max_size,
               "max_lambda": args.max_lambda}
+    for k, v in bounds.items():
+        if v < 0:
+            raise SkylineError(f"--{k.replace('_', '-')} must be nonnegative, got {v}")
     if any(bounds[k] > DEFAULT_BOUNDS[k] for k in bounds):
         print("warning: bounds beyond the default envelope; "
               "exhaustive sweeps grow quickly", file=sys.stderr)

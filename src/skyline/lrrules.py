@@ -5,7 +5,10 @@ against exact polynomial arithmetic.  The harness peels each product in
 the rule's own basis, so it needs no change of basis, and counts the
 product's LR tableaux of every outer shape in one search per product
 (one per placement of the index for QS), not one per candidate outer
-shape.  The per-shape counts coeff_a, coeff_b and coeff_qs stay public.
+shape.  The tables of a query are memoized, and a QS table reads the
+atom tables of its placements from that memo when an atom sweep has
+already counted them.  The per-shape counts coeff_a, coeff_b and
+coeff_qs stay public.
 
 The consistency identity rests on the character decomposition into
 atoms, kappa_g = sum of atoms over weak compositions weakly above g in
@@ -17,6 +20,7 @@ already fails at n = 2, and the tests pin the form used here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import Iterator, Sequence
 
 from .errors import NotInSpan, ShapeMismatch, SizeMismatch
@@ -175,15 +179,15 @@ def _first_diff(enumerated: dict, expanded: dict) -> str | None:
 
 def _outer_candidates(gamma: WeakComposition, size: int) -> Iterator[WeakComposition]:
     """Weak compositions containing gamma with |delta| = |gamma| + size."""
-    n = len(gamma)
-    for extra in weak_compositions(size, n):
-        yield WeakComposition(g + e for g, e in zip(gamma, extra))
+    for extra in weak_compositions(size, len(gamma)):
+        yield WeakComposition._trusted(map(add, gamma, extra))
 
 
 # The memo of one query: LR coefficient tables keyed by (basis letter,
 # shape, lam, n) and Bruhat intervals keyed by (up, g).  A sweep meets each
 # product under several rules (the consistency identity sums exactly the
-# counts of the atom and character rules), so each is counted once.
+# counts of the atom and character rules, and a QS table those of the
+# atom rule), so each is counted once.
 # poly.clear_caches empties it.
 _memo: dict = {}
 _caches.append(_memo)
@@ -211,14 +215,26 @@ def _qs_table(alpha: Composition, lam: Partition, n: int) -> dict:
     """The QS table: LR skyline tableaux of shape delta/gamma with zeros
     trailing in delta, summed over the placements gamma of alpha in n
     rows, by delta without its zeros.  These are the classes that
-    count_lrc counts, padded to n rows."""
+    count_lrc counts, padded to n rows.
+
+    A placement's counts come from its atom-rule table when the memo
+    holds it (a sweep has run the atom rule first), and otherwise from a
+    search with trailing_zeros.  Both count the same tableaux: that
+    search only rules out the row lengths that would put a zero before a
+    nonzero part, so it yields exactly the fillings of the full search
+    whose delta has its zeros trailing, and the atom table is the full
+    search's counts by delta."""
     table: dict = {}
     content = reverse(lam)
     for gamma in placements(alpha, n):
-        for delta, c in _lr_counts(gamma, BasementKind.LARGE, content,
-                                   trailing_zeros=True).items():
+        counts = _memo.get(("A", gamma, lam, n))
+        if counts is None:
+            counts = _lr_counts(gamma, BasementKind.LARGE, content,
+                                trailing_zeros=True)
+        for delta, c in counts.items():
             beta = tuple(p for p in delta if p)
-            table[beta] = table.get(beta, 0) + c
+            if delta[:len(beta)] == beta:  # the zeros of delta trail
+                table[beta] = table.get(beta, 0) + c
     return table
 
 
@@ -235,13 +251,13 @@ _THEOREMS = {
     "A": (WeakComposition,
           lambda g, n: atom_poly(g, n),
           lambda g, lam, n: _lr_counts(g, BasementKind.LARGE, reverse(lam)),
-          WeakComposition),
+          WeakComposition._trusted),
     "k": (WeakComposition,
           lambda g, n: char_poly(g, n),
           lambda g, lam, n: {
               d[::-1]: c for d, c in _lr_counts(
                   g[::-1], BasementKind.SHIFTED, reverse(lam)).items()},
-          WeakComposition),
+          WeakComposition._trusted),
     "S": (Composition,
           lambda a, n: qs_poly(a, n),
           lambda a, lam, n: _qs_table(a, lam, n),
@@ -322,7 +338,7 @@ def verify_consistency_identity(delta: Sequence[int], gamma: Sequence[int],
     chars = _lr_table("k", gamma, lam, n)
     lhs = sum(chars.get(alpha, 0) for alpha in _bruhat_interval(delta, up=False))
     rhs = sum(_lr_table("A", beta, lam, n).get(delta, 0)
-              for beta in _bruhat_interval(gamma, up=True) if delta.contains(beta))
+              for beta in _bruhat_interval(gamma, up=True))
     return lhs == rhs
 
 

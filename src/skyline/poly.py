@@ -337,7 +337,7 @@ def expand_in_atoms(p: Polynomial) -> dict[WeakComposition, int]:
     """Write p as an integer combination of Demazure atoms.  The atom
     A_g leads with x^g: every monomial of it is dominated by g (entries
     of row i never exceed i), with x^g itself appearing exactly once."""
-    return _peel(p, WeakComposition, atom_poly)
+    return _peel(p, WeakComposition._trusted, atom_poly)
 
 
 # Every memo of the package, so that clear_caches reaches them all; a module

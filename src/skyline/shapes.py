@@ -9,7 +9,7 @@ each threshold; it builds no permutation.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterator, Sequence
 
 from .errors import IncomparableShapes, InvalidShape, NoSuchPart, SizeMismatch
@@ -29,9 +29,15 @@ def _as_ints(values: Sequence) -> tuple[int, ...]:
 
 
 class WeakComposition(tuple):
-    """A finite sequence of nonnegative integers, trailing zeros significant."""
+    """A finite sequence of nonnegative integers, trailing zeros significant.
+
+    Passed an instance of its own exact class, each shape constructor
+    returns it unchanged: instances are immutable and were checked once.
+    """
 
     def __new__(cls, parts: Sequence[int] = ()):
+        if type(parts) is cls:
+            return parts
         try:
             parts = _as_ints(parts)
         except (ValueError, OverflowError) as exc:
@@ -39,6 +45,12 @@ class WeakComposition(tuple):
         if any(p < 0 for p in parts):
             raise InvalidShape(f"weak composition parts must be nonnegative: {parts}")
         return super().__new__(cls, parts)
+
+    @classmethod
+    def _trusted(cls, parts: Sequence[int]):
+        """Wrap parts this package built itself, without validation: they
+        must already satisfy the invariant of cls."""
+        return tuple.__new__(cls, parts)
 
     @property
     def size(self) -> int:
@@ -56,6 +68,8 @@ class Composition(WeakComposition):
     """A sequence of strictly positive integers."""
 
     def __new__(cls, parts: Sequence[int] = ()):
+        if type(parts) is cls:
+            return parts
         self = super().__new__(cls, parts)
         if any(p < 1 for p in self):
             raise InvalidShape(f"composition parts must be positive: {tuple(self)}")
@@ -66,6 +80,8 @@ class Partition(Composition):
     """A weakly decreasing sequence of positive integers."""
 
     def __new__(cls, parts: Sequence[int] = ()):
+        if type(parts) is cls:
+            return parts
         self = super().__new__(cls, parts)
         if any(a < b for a, b in zip(self, self[1:])):
             raise InvalidShape(f"partition parts must weakly decrease: {tuple(self)}")
@@ -74,18 +90,19 @@ class Partition(Composition):
 
 def strongof(g: Sequence[int]) -> Composition:
     """Drop the zero parts of a weak composition, keeping the order."""
-    return Composition(p for p in g if p != 0)
+    parts = tuple(p for p in g if p != 0)
+    return (Composition._trusted(parts) if isinstance(g, WeakComposition)
+            else Composition(parts))
 
 
 def reverse(s):
-    """Reverse a sequence, preserving its shape type where the invariant allows."""
+    """Reverse a sequence, preserving its shape type where the invariant
+    allows: a reversed partition is a composition."""
     rev = tuple(s)[::-1]
-    if isinstance(s, Partition):
-        return Composition(rev) if all(p > 0 for p in rev) else WeakComposition(rev)
     if isinstance(s, Composition):
-        return Composition(rev)
+        return Composition._trusted(rev)
     if isinstance(s, WeakComposition):
-        return WeakComposition(rev)
+        return WeakComposition._trusted(rev)
     return rev
 
 
@@ -111,7 +128,9 @@ def rem_k(s, k: int):
 
 def partition_of(g: Sequence[int]) -> Partition:
     """The underlying partition: nonzero parts sorted weakly decreasing."""
-    return Partition(sorted((p for p in g if p != 0), reverse=True))
+    parts = sorted((p for p in g if p != 0), reverse=True)
+    return (Partition._trusted(parts) if isinstance(g, WeakComposition)
+            else Partition(parts))
 
 
 def comp_bruhat_geq(b: Sequence[int], a: Sequence[int]) -> bool:
@@ -153,8 +172,8 @@ def weak_compositions(total: int, length: int) -> Iterator[WeakComposition]:
         return
     slots = total + length - 1
     for bars in combinations(range(slots), length - 1):
-        yield WeakComposition(tuple(
-            hi - lo - 1 for lo, hi in zip((-1,) + bars, bars + (slots,))))
+        yield WeakComposition._trusted(
+            hi - lo - 1 for lo, hi in zip((-1,) + bars, bars + (slots,)))
 
 
 def compositions(total: int) -> Iterator[Composition]:
@@ -164,7 +183,7 @@ def compositions(total: int) -> Iterator[Composition]:
         return
     for first in range(1, total + 1):
         for rest in compositions(total - first):
-            yield Composition((first,) + tuple(rest))
+            yield Composition._trusted((first,) + rest)
 
 
 def partitions(total: int, max_part: int | None = None) -> Iterator[Partition]:
@@ -176,20 +195,33 @@ def partitions(total: int, max_part: int | None = None) -> Iterator[Partition]:
         return
     for first in range(min(total, max_part), 0, -1):
         for rest in partitions(total - first, first):
-            yield Partition((first,) + tuple(rest))
+            yield Partition._trusted((first,) + rest)
 
 
 def rearrangements(lam: Sequence[int], n: int) -> Iterator[WeakComposition]:
-    """All weak compositions of length n whose underlying partition is lam."""
+    """All weak compositions of length n whose underlying partition is lam,
+    each once, in strictly decreasing lexicographic order: from lam padded
+    with zeros, each is the previous one's lexicographic predecessor
+    among the rearrangements."""
     lam = partition_of(lam)
     if len(lam) > n:
         return
-    base = tuple(lam) + (0,) * (n - len(lam))
-    seen = set()
-    for perm in permutations(base):
-        if perm not in seen:
-            seen.add(perm)
-            yield WeakComposition(perm)
+    a = list(lam) + [0] * (n - len(lam))
+    while True:
+        yield WeakComposition._trusted(a)
+        # the predecessor: swap the part at the last descent i with the
+        # last smaller part after it; the tail after i still increases
+        # weakly, and reversed it decreases
+        i = n - 2
+        while i >= 0 and a[i] <= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while a[j] >= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]
 
 
 def placements(alpha: Sequence[int], length: int, bound: Sequence[int] | None = None
@@ -212,7 +244,7 @@ def placements(alpha: Sequence[int], length: int, bound: Sequence[int] | None = 
     while True:
         t = len(pos)
         if t == m:
-            yield WeakComposition(out)
+            yield WeakComposition._trusted(out)
         else:
             while i <= last[t] and alpha[t] > bound[i]:
                 i += 1

@@ -119,6 +119,15 @@ def word_str(w) -> str:
     return ("" if all(v <= 9 for v in w) else ",").join(map(str, w))
 
 
+def rearrangements_oracle(lam, n: int) -> list[tuple[int, ...]]:
+    """The distinct orderings of lam padded with zeros to n parts, in
+    decreasing lexicographic order, from all n! orderings."""
+    if len(lam) > n:
+        return []
+    base = tuple(lam) + (0,) * (n - len(lam))
+    return sorted(set(itertools.permutations(base)), reverse=True)
+
+
 # Permutations are tuples in one-line notation (the images of 1..n).
 
 

@@ -220,6 +220,9 @@ def test_compute_qs_many_parts(capsys):
     (["count", "ct", "--outer", "1,2", "--content", "2,1"], None),
     (["render"], '{"shape": [3, 3, 3], "inner": [2, 0, 1], '
                  '"rows": [[1], [2, 1], [3, 2, 1]]}'),
+    (["verify", "all", "--max-n", "-1"], None),
+    (["verify", "qs", "--max-size", "-1", "--json"], None),
+    (["verify", "consistency", "--max-lambda", "-2"], None),
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, argv, stdin):
     if stdin is not None:

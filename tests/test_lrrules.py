@@ -216,16 +216,22 @@ COEFFICIENTS = {
     ("A", iter_atom_instances), ("k", iter_atom_instances),
     ("S", iter_qs_instances)])
 def test_tables_match_one_coefficient_per_outer_shape(label, instances,
-                                                      cold_caches):
+                                                      cold_caches, monkeypatch):
     # one search per product gives what one count per outer shape gives
     coeff, outers = COEFFICIENTS[label]
-    for shape, lam, n in instances(4, 4, 3):
-        table = _lr_table(label, shape, lam, n)
-        if lam.size == 0:
-            assert table == {shape: 1}
-        else:
-            assert table == {outer: c for outer in outers(shape, lam, n)
-                             if (c := coeff(shape, lam, outer))}, (shape, lam, n)
+    expected = {(shape, lam, n): {shape: 1} if lam.size == 0 else
+                {outer: c for outer in outers(shape, lam, n)
+                 if (c := coeff(shape, lam, outer))}
+                for shape, lam, n in instances(4, 4, 3)}
+    for case, table in expected.items():
+        assert _lr_table(label, *case) == table, case
+    if label == "S":
+        # read from the atom tables of an atom sweep, with no search left
+        clear_caches()
+        sweep("atoms", 4, 4, 3)
+        monkeypatch.setattr(lrrules, "_lr_counts", None)
+        for case, table in expected.items():
+            assert _lr_table(label, *case) == table, case
 
 
 def test_table_search_does_not_recurse(cold_caches):

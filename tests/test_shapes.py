@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (apply_to_positions, bruhat_closure_oracle, bruhat_leq,
-                      inversions, min_sorting_perm)
-from skyline.errors import IncomparableShapes, NoSuchPart, SizeMismatch
+                      inversions, min_sorting_perm, rearrangements_oracle)
+from skyline.errors import (IncomparableShapes, InvalidShape, NoSuchPart,
+                            SizeMismatch)
 from skyline.shapes import (Composition, Partition, WeakComposition,
-                            comp_bruhat_geq, pad, parse_sequence, partition_of,
-                            partitions, placements, rearrangements, rem_k,
-                            reverse, strongof, weak_compositions)
+                            comp_bruhat_geq, compositions, pad, parse_sequence,
+                            partition_of, partitions, placements,
+                            rearrangements, rem_k, reverse, strongof,
+                            weak_compositions)
 
 
 def test_type_invariants():
@@ -24,6 +26,53 @@ def test_type_invariants():
         Partition((1, 2))
     assert WeakComposition((2, 1)) != WeakComposition((2, 1, 0))
     assert Composition((2, 1)) == (2, 1)
+
+
+def test_constructors_return_their_own_class_unchanged():
+    for cls, parts in ((WeakComposition, (2, 0, 1)), (Composition, (2, 3)),
+                       (Partition, (3, 1))):
+        shape = cls(parts)
+        assert cls(shape) is shape
+    lam = Partition((2, 1))
+    for cls in (WeakComposition, Composition):
+        copy = cls(lam)
+        assert type(copy) is cls and copy == lam and copy is not lam
+
+
+def test_public_functions_validate_plain_tuples():
+    for bad in ((1, -1), (1.5,)):
+        for fn in (strongof, partition_of, lambda g: pad(g, 3),
+                   lambda g: list(rearrangements(g, 3))):
+            with pytest.raises(InvalidShape):
+                fn(bad)
+
+
+def _trusted_outputs():
+    """Every shape the generators and shape maps build without validation,
+    over small bounds."""
+    for total in range(5):
+        yield from compositions(total)
+        yield from partitions(total)
+        for length in range(4):
+            yield from weak_compositions(total, length)
+    for lam in partitions(4):
+        for n in range(len(lam), 5):
+            for g in rearrangements(lam, n):
+                alpha = strongof(g)
+                yield from (g, partition_of(g), alpha, reverse(g), pad(g, n + 1),
+                            reverse(alpha))
+                yield from placements(alpha, n)
+                yield from placements(alpha, n, bound=g)
+
+
+def test_trusted_outputs_pass_their_constructor():
+    kinds = set()
+    for shape in _trusted_outputs():
+        cls = type(shape)
+        kinds.add(cls)
+        rebuilt = cls(tuple(shape))
+        assert type(rebuilt) is cls and rebuilt == shape, shape
+    assert kinds == {WeakComposition, Composition, Partition}
 
 
 def test_strongof():
@@ -197,6 +246,23 @@ def test_generators():
         [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
     assert list(placements((2, 1), 3, bound=(2, 2, 1))) == \
         [(2, 1, 0), (2, 0, 1), (0, 2, 1)]
+
+
+def test_rearrangements_match_all_orderings():
+    # each distinct ordering once, in strictly decreasing order
+    for size in range(7):
+        for lam in partitions(size):
+            for n in range(7):
+                assert list(rearrangements(lam, n)) == \
+                    rearrangements_oracle(lam, n), (lam, n)
+
+
+def test_rearrangements_follow_their_output():
+    # 12 compositions out of 12! orderings of (1, 0, ..., 0)
+    start = time.perf_counter()
+    found = list(rearrangements((1,), 12))
+    assert time.perf_counter() - start < 1
+    assert found == [(0,) * i + (1,) + (0,) * (11 - i) for i in range(12)]
 
 
 def test_generators_do_not_recurse():
