@@ -81,11 +81,15 @@ def _cmd_verify(args) -> int:
     clear_caches()  # the memo is not needed while the output is built
     failures = [r for r in results if not r[1]]
     if args.json:
-        # Item by item, byte for byte as json.dumps of the whole list, so
-        # that the list of dicts is never built.
-        print("[" + ", ".join(
-            json.dumps({"instance": label, "ok": ok, "detail": detail})
-            for label, ok, detail in results) + "]")
+        # Written item by item, byte for byte as json.dumps of the whole
+        # list, so that neither the list of dicts nor the output is built.
+        write = sys.stdout.write
+        write("[")
+        for j, (label, ok, detail) in enumerate(results):
+            if j:
+                write(", ")
+            write(json.dumps({"instance": label, "ok": ok, "detail": detail}))
+        write("]\n")
     else:
         for label, ok, detail in results:
             line = f"{'PASS' if ok else 'FAIL'} {label}"
@@ -172,9 +176,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    global _parser
+    if _parser is None:  # built once per process; parsing leaves it unchanged
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except SkylineError as exc:

@@ -18,7 +18,7 @@ shape at once (`_lr_counts`), and the fixed shapes of `enum_ssk_shape`,
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import accumulate, compress
 from typing import Callable, Iterator, Sequence
 
 from .errors import (InvalidShape, NotContreLattice, NotRearrangement,
@@ -173,6 +173,11 @@ def _skyline(inner: Sequence[int], basement: BasementKind, size: int,
     grid = [[bvals[i]] * (inner[i] + 1) + [0] * (longest[i] - inner[i])
             for i in range(n)]
     delta = list(inner if outer is None else outer)
+    # for trailing_zeros: the cells of inner from row i down, and the rows
+    # above row i with nothing of inner, each of which must get a cell
+    # once row i or a row below it is nonzero
+    inner_from = list(accumulate(reversed(inner), initial=0))[::-1]
+    empty_above = list(accumulate((g == 0 for g in inner), initial=0))
 
     def layout(i: int) -> Layout | None:
         # Each triple between row i and a row j below it is binned on its
@@ -180,8 +185,10 @@ def _skyline(inner: Sequence[int], basement: BasementKind, size: int,
         # lie in row j.  A triple with no data cell reads (b, b', b) for
         # two distinct basement values, always an inversion triple.
         di, gi = delta[i], inner[i]
-        if trailing_zeros and di == 0 and any(delta[i + 1:]):
-            return None
+        if trailing_zeros:
+            filled = sum(delta[i:])
+            if filled and (di == 0 or filled - inner_from[i] + empty_above[i] > size):
+                return None
         now: list[Triple] = []
         checks: list[list[Triple]] = [[] for _ in range(di - gi)]
         for j in compress(range(i + 1, n), delta[i + 1:]):  # rows below, not empty

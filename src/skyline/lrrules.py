@@ -220,10 +220,11 @@ def _qs_table(alpha: Composition, lam: Partition, n: int) -> dict:
     A placement's counts come from its atom-rule table when the memo
     holds it (a sweep has run the atom rule first), and otherwise from a
     search with trailing_zeros.  Both count the same tableaux: that
-    search only rules out the row lengths that would put a zero before a
-    nonzero part, so it yields exactly the fillings of the full search
-    whose delta has its zeros trailing, and the atom table is the full
-    search's counts by delta."""
+    search only rules out the row lengths that put a zero before a
+    nonzero part, or that leave too few cells to fill every zero row of
+    gamma above a nonzero one, so it yields exactly the fillings of the
+    full search whose delta has its zeros trailing, and the atom table is
+    the full search's counts by delta."""
     table: dict = {}
     content = reverse(lam)
     for gamma in placements(alpha, n):

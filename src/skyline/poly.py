@@ -11,14 +11,25 @@ polynomials, so each LR rule is checked against an independent
 derivation.
 
 All coefficients are exact Python integers; equality is structural.
+
+Inside this module a monomial x^e in n variables is one int: with
+S_k = e_k + ... + e_n, its key is the sum of S_k << (w * (n - k)) for
+k = 1..n, so the degree S_1 sits in the top field.  Every field is below
+2**w, where the width w is 8 for every polynomial of degree below 256 and
+grows only when a degree needs it.  Adding keys multiplies monomials, as
+no field carries; the Demazure operators move mass between x_i and
+x_{i+1}, which changes only the field S_{i+1}; and the order of the ints
+is the order of the peel: degree first, then the suffix sums
+lexicographically, which extends suffix-sum dominance, the order in
+which each basis here is unitriangular (see `_peel`).  Exponent tuples
+stay at the public edge: `Polynomial.terms` and every argument and
+result outside this module use them.
 """
 
 from __future__ import annotations
 
 import json
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
-from operator import add
 from typing import Callable, Mapping, Sequence
 
 from .errors import (LengthMismatch, NonIntegralCoefficient, NotInSpan,
@@ -26,15 +37,63 @@ from .errors import (LengthMismatch, NonIntegralCoefficient, NotInSpan,
 from .shapes import Composition, Partition, WeakComposition, _as_ints, placements
 
 
-class Polynomial:
-    """A polynomial in x_1..x_n keyed by dense exponent vectors.
+# The field width of every polynomial whose degrees are all below 2**_W0.
+_W0 = 8
 
-    Zero coefficients are never stored, so `==` is exact structural
-    equality.  Instances are immutable by convention; all operations
-    return new values.
+
+def _width(degree: int) -> int:
+    """The field width of a polynomial of largest degree `degree`: _W0
+    bits below 2**_W0, else just enough bits for the degree."""
+    return max(_W0, degree.bit_length())
+
+
+def _pack(e: Sequence[int], w: int) -> int:
+    """The key of x^e: the suffix sums e_k + ... + e_n, each in a w-bit
+    field, the whole degree (k = 1) in the top one."""
+    key = s = shift = 0
+    for x in reversed(e):
+        s += x
+        key |= s << shift
+        shift += w
+    return key
+
+
+def _unpack(key: int, n: int, w: int) -> tuple[int, ...]:
+    """The exponent vector of a w-bit key in n variables."""
+    mask = (1 << w) - 1
+    e = [0] * n
+    below = 0
+    for j in range(n - 1, -1, -1):
+        s = key & mask
+        e[j] = s - below
+        below = s
+        key >>= w
+    return tuple(e)
+
+
+def _degree(key: int, n: int, w: int) -> int:
+    """The degree of a w-bit key in n variables: its top field."""
+    return key >> (w * (n - 1)) if n else 0
+
+
+def _repack(keys: dict[int, int], n: int, w: int, to: int) -> dict[int, int]:
+    """w-bit keys in n variables, repacked to width `to`."""
+    return {_pack(_unpack(k, n, w), to): c for k, c in keys.items()}
+
+
+class Polynomial:
+    """A polynomial in x_1..x_n.
+
+    `terms` maps exponent vectors to nonzero coefficients.  Inside this
+    module each term is keyed by one int that packs the exponent's
+    suffix sums (see the module docstring); `terms` is decoded from those
+    keys once, when first read.  Zero coefficients are never stored and
+    the width of the key's fields is a function of the largest degree
+    present, so `==` is exact structural equality.  Instances are
+    immutable by convention; all operations return new values.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "_w", "_keys", "_terms")
 
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], int] | None = None):
         self.n = n
@@ -57,17 +116,44 @@ class Polynomial:
                     raise VariableCountMismatch(
                         f"exponent {tuple(e)} invalid for {n} variables")
                 clean[e] = c
-        self.terms = clean
+        self._w = w = _width(max(map(sum, clean), default=0))
+        self._keys = {_pack(e, w): c for e, c in clean.items()}
+        self._terms = clean
 
     @classmethod
-    def _trusted(cls, n: int, terms: dict[tuple[int, ...], int]) -> "Polynomial":
-        """Wrap terms this module built itself, without validation: every
-        exponent is an n-tuple of nonnegative ints, no coefficient is 0,
-        and the dict is not shared."""
+    def _trusted(cls, n: int, w: int, keys: dict[int, int]) -> "Polynomial":
+        """Wrap w-bit keys this module built itself, without validation:
+        every field holds less than 2**w, no coefficient is 0, and the
+        dict is not shared.  A width beyond _W0 that the degrees no longer
+        need, after a cancellation, is narrowed."""
+        if w > _W0:
+            need = _width(_degree(max(keys), n, w)) if keys else _W0
+            if need < w:
+                keys, w = _repack(keys, n, w, need), need
         self = object.__new__(cls)
         self.n = n
-        self.terms = terms
+        self._w = w
+        self._keys = keys
+        self._terms = None
         return self
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], int]:
+        """Exponent vector -> coefficient, decoded from the keys when first
+        read and then kept; changing this dict does not change p."""
+        terms = self._terms
+        if terms is None:
+            n, w = self.n, self._w
+            terms = self._terms = {_unpack(k, n, w): c for k, c in self._keys.items()}
+        return terms
+
+    def _at(self, w: int) -> dict[int, int]:
+        """The keys at width w >= self._w."""
+        return self._keys if w == self._w else _repack(self._keys, self.n, self._w, w)
+
+    def _max_degree(self) -> int:
+        """The largest degree of a term; 0 for the zero polynomial."""
+        return _degree(max(self._keys, default=0), self.n, self._w)
 
     # -- constructors ---------------------------------------------------
 
@@ -93,59 +179,73 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            nc = out.get(e, 0) + c
+        w = max(self._w, other._w)
+        out = dict(self._at(w))
+        for k, c in other._at(w).items():
+            nc = out.get(k, 0) + c
             if nc:
-                out[e] = nc
+                out[k] = nc
             else:
-                out.pop(e, None)
-        return Polynomial._trusted(self.n, out)
+                out.pop(k, None)
+        return Polynomial._trusted(self.n, w, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted(self.n, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(
+            self.n, self._w, {k: -c for k, c in self._keys.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
             if not other:
                 return Polynomial.zero(self.n)
             return Polynomial._trusted(
-                self.n, {e: c * other for e, c in self.terms.items()})
+                self.n, self._w, {k: c * other for k, c in self._keys.items()})
         self._check(other)
-        out: dict[tuple[int, ...], int] = {}
+        # The product's largest degree is the sum of the factors' (the
+        # product of their top components is not 0), so its width holds
+        # every field of every sum of keys: adding keys adds exponents.
+        w = _width(self._max_degree() + other._max_degree())
+        pairs = list(other._at(w).items())
+        out: dict[int, int] = {}
         get = out.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                out[e] = get(e, 0) + c1 * c2
-        return Polynomial._trusted(self.n, {e: c for e, c in out.items() if c})
+        for k1, c1 in self._at(w).items():
+            for k2, c2 in pairs:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        return Polynomial._trusted(self.n, w, {k: c for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and self.n == other.n
-                and self.terms == other.terms)
+                and self._w == other._w and self._keys == other._keys)
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, frozenset(self._keys.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._keys)
 
     # -- structure --------------------------------------------------------
 
     def coefficient(self, e: Sequence[int]) -> int:
         return self.terms.get(tuple(e), 0)
 
+    def _components(self) -> dict[int, dict[int, int]]:
+        """The keyed terms by degree, read from the top field."""
+        n, w = self.n, self._w
+        comps: dict[int, dict[int, int]] = {}
+        for k, c in self._keys.items():
+            comps.setdefault(_degree(k, n, w), {})[k] = c
+        return comps
+
     def degree_components(self) -> dict[int, dict[tuple[int, ...], int]]:
         """Split into homogeneous components keyed by total degree."""
-        comps: dict[int, dict[tuple[int, ...], int]] = {}
-        for e, c in self.terms.items():
-            comps.setdefault(sum(e), {})[e] = c
-        return comps
+        n, w = self.n, self._w
+        return {d: {_unpack(k, n, w): c for k, c in comp.items()}
+                for d, comp in self._components().items()}
 
     # -- presentation -------------------------------------------------------
 
@@ -192,22 +292,29 @@ def _isobaric(p: Polynomial, i: int, atom: bool) -> Polynomial:
     pi_i f = (x_i f - x_{i+1} s_i f) / (x_i - x_{i+1}) is the isobaric
     divided difference.  On x^e with (e_i, e_{i+1}) = (a, b) it gives the
     string x_i^a x_{i+1}^b + ... + x_i^b x_{i+1}^a when a >= b, and minus
-    the monomials strictly between the two ends when a < b.
+    the monomials strictly between the two ends when a < b.  Moving one
+    from e_i to e_{i+1} adds one to the suffix sum S_{i+1} and to no
+    other, so the string is an arithmetic progression of keys with step
+    `unit`, and a - b = S_i - 2 S_{i+1} + S_{i+2} (S_n = 0).
     """
-    out: dict[tuple[int, ...], int] = {}
+    n, w = p.n, p._w
+    w2, mask, mask3 = 2 * w, (1 << w) - 1, (1 << 3 * w) - 1
+    shift = w * (n - 2 - i)  # of the field S_{i+1}
+    unit = 1 << shift
+    up = unit if atom else 0  # pi-bar_i leaves out the first end, x^e itself
+    down = 0 if atom else unit
+    out: dict[int, int] = {}
     get = out.get
-    for e, c in p.terms.items():
-        a, b = e[i], e[i + 1]
-        head, tail = e[:i], e[i + 2:]
-        if a >= b:  # (a - k, b + k) for k = 0 (pi_i only) .. a - b
-            for k in range(1 if atom else 0, a - b + 1):
-                m = head + (a - k, b + k) + tail
+    for key, c in p._keys.items():
+        f = (key << w) >> shift & mask3  # the fields S_i, S_{i+1}, S_{i+2}
+        d = (f >> w2) - 2 * (f >> w & mask) + (f & mask)
+        if d >= 0:  # (a - k, b + k) for k = 0 (pi_i only) .. a - b
+            for m in range(key + up, key + d * unit + 1, unit):
                 out[m] = get(m, 0) + c
         else:  # -(a + k, b - k) for k = 0 (pi-bar_i only) .. b - a - 1
-            for k in range(0 if atom else 1, b - a):
-                m = head + (a + k, b - k) + tail
+            for m in range(key - down, key + d * unit, -unit):
                 out[m] = get(m, 0) - c
-    return Polynomial._trusted(p.n, {m: c for m, c in out.items() if c})
+    return Polynomial._trusted(n, w, {m: c for m, c in out.items() if c})
 
 
 # Demazure polynomials computed so far, keyed by (index, is_atom).  Every
@@ -233,7 +340,8 @@ def _demazure(g: tuple[int, ...], atom: bool) -> Polynomial:
         i = max((i for i in range(len(g) - 1) if g[i] < g[i + 1]),
                 key=lambda i: g[i + 1], default=None)
         if i is None:
-            _demazure_cache[g, atom] = Polynomial._trusted(len(g), {g: 1})
+            w = _width(sum(g))
+            _demazure_cache[g, atom] = Polynomial._trusted(len(g), w, {_pack(g, w): 1})
             break
         chain.append((g, i))
         g = g[:i] + (g[i + 1], g[i]) + g[i + 2:]
@@ -274,18 +382,12 @@ def qs_poly(a: Sequence[int], n: int) -> Polynomial:
     a = Composition(a)
     if len(a) > n:
         raise TooManyParts(f"composition {tuple(a)} has more than {n} parts")
-    terms: dict[tuple[int, ...], int] = {}
-    get = terms.get
+    keys: dict[int, int] = {}
+    get = keys.get
     for g in placements(a, n):
-        for e, c in atom_poly(g, n).terms.items():
-            terms[e] = get(e, 0) + c  # atoms are positive: no term cancels
-    return Polynomial._trusted(n, terms)
-
-
-def _heap_key(e: tuple[int, ...]) -> tuple[int, ...]:
-    """Negated suffix sums (e_k + ... + e_n) for k = 2..n: the smallest
-    key is the largest monomial in the triangularity order."""
-    return tuple(accumulate(-x for x in reversed(e[1:])))[::-1]
+        for k, c in atom_poly(g, n)._keys.items():
+            keys[k] = get(k, 0) + c  # atoms are positive: no term cancels
+    return Polynomial._trusted(n, _width(a.size), keys)
 
 
 def _peel(p: Polynomial, lead: Callable[[tuple[int, ...]], object],
@@ -294,40 +396,46 @@ def _peel(p: Polynomial, lead: Callable[[tuple[int, ...]], object],
 
     `lead(e)` is the index of the basis element whose largest monomial is
     x^e, or None when no element leads with it; `basis(index, n)` is that
-    element.  Each homogeneous component is peeled from the top: the
-    monomial whose exponent is maximal in suffix-sum dominance can only
-    come from the element it leads, which has coefficient 1 there, so
-    its coefficient in p is the expansion coefficient.  The candidates
-    sit in a heap; an entry whose monomial has cancelled is skipped when
-    it comes up.  Raises NotInSpan when p is not in the span.
+    element.  Each homogeneous component, lowest degree first, is peeled
+    from the top: the monomial whose exponent is maximal in suffix-sum
+    dominance can only come from the element it leads, which has
+    coefficient 1 there, so its coefficient in p is the expansion
+    coefficient.  Within one degree the keys share their top field and
+    compare as the vectors of the other suffix sums do, lexicographically,
+    a linear extension of that dominance; so the largest key left is
+    always a maximal monomial.  The candidates sit in a heap of negated
+    keys; an entry whose monomial has cancelled is skipped when it comes
+    up, and a key is decoded only to ask for its lead.  Raises NotInSpan
+    when p is not in the span.
     """
+    n, w = p.n, p._w
     result: dict = {}
-    for _, comp in sorted(p.degree_components().items()):
-        work = dict(comp)
-        heap = [(_heap_key(e), e) for e in work]
+    for _, work in sorted(p._components().items()):
+        heap = [-k for k in work]
         heapify(heap)
         rounds = 0
         while heap:
-            e = heappop(heap)[1]
-            c = work.get(e)
+            k = -heappop(heap)
+            c = work.get(k)
             if c is None:
                 continue
             rounds += 1
             if rounds > 10 ** 6:
                 raise NotInSpan("the expansion did not terminate")
+            e = _unpack(k, n, w)
             index = lead(e)
             if index is None:
                 raise NotInSpan(f"no basis element leads with the monomial {e}")
-            for m, cm in basis(index, p.n).terms.items():
+            for m, cm in basis(index, n)._at(w).items():
                 old = work.get(m)
                 nc = (old or 0) - c * cm
                 if not nc:
                     del work[m]
                 else:
                     if old is None:
-                        heappush(heap, (_heap_key(m), m))
+                        heappush(heap, -m)
                     work[m] = nc
-            if e in work:
+            if k in work:
                 raise NotInSpan(f"leading monomial {e} failed to cancel")
             result[index] = c
     return result

@@ -268,6 +268,17 @@ def schur_oracle(lam, n: int) -> Polynomial:
     return _weight_sum(n, (weight(t) for t in enum_ct(lam, n=n)))
 
 
+def product_oracle(p: Polynomial, q: Polynomial) -> Polynomial:
+    """The product of two polynomials with its exponents added as tuples,
+    read from and built through the public exponent-tuple interface."""
+    terms: dict[tuple[int, ...], int] = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            terms[e] = terms.get(e, 0) + c1 * c2
+    return Polynomial(p.n, terms)
+
+
 def consistency_oracle(delta, gamma, lam) -> bool:
     """The consistency identity summed directly: a pairwise Bruhat test
     and one coefficient count per term, with no memo."""

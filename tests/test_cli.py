@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -191,6 +192,31 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "nope", "--shape", "1", "--n", "1"])
     assert exc.value.code == 2
+
+
+def test_main_calls_in_one_process_match_fresh_processes(capsys):
+    # main builds its parser once per process: each call must still print
+    # and exit as a fresh process does, with no default of one call
+    # leaking into the next, and a usage error must still exit 2
+    import skyline
+    src = str(Path(skyline.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    calls = [(["verify", "all", "--max-n", "1"], 0),
+             (["verify", "all"], 0),
+             (["verify", "all", "--max-n", "-1"], 2),
+             (["verify", "nope"], 2),
+             (["expand", "qs", "--shape", "2,1", "--lambda", "2,1", "--n", "4"], 0)]
+    for argv, expected in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "skyline", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (got.out, got.err, code) == \
+            (fresh.stdout, fresh.stderr, fresh.returncode), argv
+        assert code == expected, argv
 
 
 def test_compute_atom_long_row(capsys):

@@ -1,13 +1,16 @@
+import hashlib
 import itertools
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import atom_oracle, char_oracle, expand_in_atoms_solve, schur_oracle
+from conftest import (atom_oracle, char_oracle, expand_in_atoms_solve,
+                      product_oracle, schur_oracle)
 from skyline.errors import (LengthMismatch, NonIntegralCoefficient, NotInSpan,
                             TooManyParts, TooManyRows, VariableCountMismatch)
 from skyline.lrrules import _qs_index
+from skyline.cli import main
 from skyline.poly import (Polynomial, _peel, atom_poly, char_poly, clear_caches,
                           expand_in_atoms, qs_poly, schur_poly)
 from skyline.shapes import (WeakComposition, comp_bruhat_geq,
@@ -324,3 +327,75 @@ def test_expand_single_box_product_nonnegative():
 def test_expand_handles_inhomogeneous():
     p = atom_poly((1, 0), 2) + atom_poly((2, 0), 2) + atom_poly((1, 1), 2)
     assert expand_in_atoms(p) == {(1, 0): 1, (2, 0): 1, (1, 1): 1}
+
+
+# ---------------------------------------------------------------------------
+# terms keyed by packed suffix sums inside skyline.poly
+
+
+def test_degrees_past_the_common_width():
+    # degree 256 and above needs wider key fields than every lower degree
+    x1, x2 = Polynomial.monomial((300, 0)), Polynomial.monomial((0, 5))
+    for p, q in [(x1, x2), (Polynomial.monomial((200, 0)), Polynomial.monomial((0, 100))),
+                 (schur_poly((2, 1), 2), Polynomial.monomial((255, 1)))]:
+        assert p * q == product_oracle(p, q)
+    assert (x1 * x2).terms == {(300, 5): 1}
+    assert atom_poly((300, 0, 1), 3) == atom_oracle((300, 0, 1), 3)
+    assert char_poly((0, 256), 2) == char_oracle((0, 256), 2)
+    assert len(char_poly((0, 256), 2).terms) == 257
+
+
+def test_expand_in_atoms_two_degrees():
+    p = 2 * atom_poly((0, 2, 1), 3) - atom_poly((1, 0, 0), 3) + atom_poly((0, 0, 1), 3)
+    assert p.degree_components().keys() == {1, 3}
+    assert expand_in_atoms(p) == {(1, 0, 0): -1, (0, 0, 1): 1, (0, 2, 1): 2}
+    assert expand_in_atoms(p) == expand_in_atoms_solve(p)
+    # both degrees peel in the QS basis; x1^2 lies outside its span
+    q = qs_poly((1,), 2) + atom_poly((2, 0), 2)
+    with pytest.raises(NotInSpan) as exc:
+        _peel(q, _qs_index, qs_poly)
+    assert str(exc.value) == "no basis element leads with the monomial (2, 0)"
+    with pytest.raises(NotInSpan) as exc:  # a basis that misses its lead
+        _peel(Polynomial.monomial((1, 2)), WeakComposition,
+              lambda g, n: Polynomial.monomial((0, 3)))
+    assert str(exc.value) == "leading monomial (1, 2) failed to cancel"
+
+
+def test_terms_are_exponent_tuples():
+    p = atom_poly((0, 2, 1), 3) * schur_poly((1,), 3)
+    assert p.terms and all(isinstance(e, tuple) and len(e) == 3 for e in p.terms)
+    assert p.coefficient((1, 2, 1)) == 2
+    assert p.coefficient((1, 2)) == p.coefficient((1, 2, 1, 0)) == 0
+    assert Polynomial.zero(3).coefficient((0, 0, 0)) == 0
+
+
+def test_equal_polynomials_from_every_path_hash_equal():
+    for p in (atom_poly((1, 0, 2), 3) * schur_poly((2, 1), 3),
+              Polynomial.monomial((300, 0, 2)) * schur_poly((1,), 3)):
+        built = Polynomial(p.n, dict(p.terms))
+        read = Polynomial.from_json(p.to_json())
+        assert p == built == read
+        assert hash(p) == hash(built) == hash(read)
+    # a cancellation that leaves only low degrees gives the low width back
+    low, high = schur_poly((2, 1), 3), Polynomial.monomial((0, 300, 1))
+    assert (low + high) - high == low
+    assert hash((low + high) - high) == hash(low)
+
+
+# stdout of each command, as sha256, pinned from the tuple-keyed implementation
+PINNED_STDOUT = {
+    "expand qs --shape 3,2,1 --lambda 3,2,1 --n 6 --json":
+        "97d4334eb624c9412fa717fb95acb4b83e73d3a95e27439ede987896fca67236",
+    "expand chars --shape 0,0,1,2,1 --lambda 2,1 --n 5 --json":
+        "4d27483dcf7dce799805a67c18bb893499446e7cad670b439bac6e0ebca504dd",
+    "compute char --shape 0,2,1,3 --n 4 --json":
+        "b6ef5c99bc8a788782a95fd62f8d9f4e2240cade8ab54e392bd73a171e863a5d",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
+def test_pinned_outputs(capsys, command):
+    clear_caches()
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
