@@ -23,7 +23,13 @@ from .shapes import parse_sequence
 DEFAULT_BOUNDS = {"max_n": 3, "max_size": 3, "max_lambda": 2}
 
 
+def _check_nonnegative(**flags: int) -> None:
+    for k, v in flags.items():
+        if v < 0:
+            raise SkylineError(f"--{k.replace('_', '-')} must be nonnegative, got {v}")
+
 def _cmd_compute(args) -> int:
+    _check_nonnegative(n=args.n)
     shape = parse_sequence(args.shape)
     n = args.n
     if args.kind == "schur":
@@ -67,9 +73,7 @@ def _cmd_count(args) -> int:
 def _cmd_verify(args) -> int:
     bounds = {"max_n": args.max_n, "max_size": args.max_size,
               "max_lambda": args.max_lambda}
-    for k, v in bounds.items():
-        if v < 0:
-            raise SkylineError(f"--{k.replace('_', '-')} must be nonnegative, got {v}")
+    _check_nonnegative(**bounds)
     if any(bounds[k] > DEFAULT_BOUNDS[k] for k in bounds):
         print("warning: bounds beyond the default envelope; "
               "exhaustive sweeps grow quickly", file=sys.stderr)
@@ -110,6 +114,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    _check_nonnegative(n=args.n)
     shape = parse_sequence(args.shape)
     lam = parse_sequence(args.lam)
     if args.basis == "atoms":

@@ -12,8 +12,10 @@ cell is placed.  Skyline fillings are placed in row reading order
 a row and the rows below it is known once the row's length is chosen,
 and becomes checkable exactly when its last data cell is placed.  So
 with free row lengths one search finds the LR tableaux of every outer
-shape at once (`_lr_counts`), and the fixed shapes of `enum_ssk_shape`,
-`enum_ct` and `enum_ssc` are the case of forced lengths.
+shape at once (`_lr_counts`), and the fixed shapes of `enum_ssk_shape`
+and `enum_ct` are the case of forced lengths.  Composition tableaux
+(`enum_ssc`) are standard-basement skyline fillings with the empty rows
+dropped, so they come from the same skyline search.
 """
 
 from __future__ import annotations
@@ -326,9 +328,9 @@ def reshape(y: Filling, sigma: Sequence[int]) -> Filling:
     """The unique contre-lattice SSK on the large basement with overall
     shape sigma and the same column sets as y.
 
-    Iteratively removes the rightmost occurrence of the smallest remaining
-    entry of y and places it at the end of the lowest remaining row of
-    matching length in sigma.
+    Takes the entries of y by increasing value, rightmost first among
+    equal values, and places each at the end of the lowest remaining row
+    of matching length in sigma.
     """
     report = is_ssk(y)
     if not report:
@@ -340,26 +342,18 @@ def reshape(y: Filling, sigma: Sequence[int]) -> Filling:
         raise NotRearrangement(
             f"{tuple(sigma)} does not rearrange {tuple(y.shape.outer)}")
     n = y.n
-
-    remaining: list[tuple[int, int]] = []  # (value, column)
-    for i, k in y.data_cells():
-        remaining.append((y.value_at(i, k), k))
     current = list(sigma)
     entries: dict[tuple[int, int], int] = {}
-    while remaining:
-        x = min(v for v, _ in remaining)
-        j = max(k for v, k in remaining if v == x)
-        row = None
-        for i in range(n, 0, -1):
-            if current[i - 1] == j:
-                row = i
+    for x, j in sorted(((y.value_at(i, k), k) for i, k in y.data_cells()),
+                       key=lambda e: (e[0], -e[1])):
+        for row in range(n, 0, -1):
+            if current[row - 1] == j:
                 break
-        if row is None:
+        else:
             raise NotContreLattice(
                 f"no row of length {j} available while placing {x}")
         entries[(row, j)] = x
         current[row - 1] = j - 1
-        remaining.remove((x, j))
     tau = WeakComposition(current)
     rows = []
     for i in range(1, n + 1):
@@ -406,29 +400,20 @@ def enum_ssc(beta: Sequence[int], n: int,
 
     First column strictly increasing top to bottom, rows weakly decreasing,
     every triple an inversion triple; triples are taken on the composition
-    diagram itself (the basement is superfluous here).  Yields row tuples.
+    diagram itself.  These are the standard-basement fillings whose shape
+    flattens to beta, with the empty rows dropped, so each placement of
+    beta in n rows is one skyline search.  Yields row tuples, decreasing
+    on their entries in fill order (bottom row first, left to right).
     """
     beta = Composition(beta)
-    nrows = len(beta)
-    grid = [[0] * (b + 1) for b in beta]  # col 0 unused
-    cells = [(i, k) for i in range(nrows - 1, -1, -1) for k in range(1, beta[i] + 1)]
-    order = {cell: t for t, cell in enumerate(cells)}
-    # the first column strictly increases downward (lower rows are placed
-    # first); elsewhere the left neighbor caps the entry
-    caps = [[(i, k - 1, 0)] if k > 1 else [(i + 1, 1, 1)] if i + 1 < nrows else []
-            for i, k in cells]
-    checks: list[list[tuple[Cell, Cell, Cell]]] = [[] for _ in cells]
-    for i in range(nrows):
-        for j in range(i + 1, nrows):
-            bi, bj = beta[i], beta[j]
-            if bi >= bj:
-                for k in range(2, bj + 1):
-                    tri = ((i, k), (j, k), (i, k - 1))
-                    checks[max(order[m] for m in tri)].append(tri)
-            else:
-                for k in range(1, bi + 1):
-                    tri = ((j, k + 1), (i, k), (j, k))
-                    checks[max(order[m] for m in tri)].append(tri)
-    steps = [(i, k, cap, check) for (i, k), cap, check in zip(cells, caps, checks)]
-    for _ in _fixed(grid, steps, n, content):
-        yield tuple(tuple(row[1:]) for row in grid)
+    if not beta:  # no rows, which a basement cannot have
+        if content is None or sum(content) == 0:
+            yield ()
+        return
+    tableaux = [tuple(tuple(row[1:]) for row in grid if len(row) > 1)
+                for g in placements(beta, n)
+                for grid, _ in _skyline((0,) * n, BasementKind.IDENT,
+                                        beta.size, content, g)]
+    tableaux.sort(key=lambda t: [v for row in reversed(t) for v in row],
+                  reverse=True)
+    yield from tableaux

@@ -30,8 +30,7 @@ from .fillings import BasementKind
 from .poly import _caches, _peel, atom_poly, char_poly, qs_poly, schur_poly
 from .shapes import (Composition, Partition, WeakComposition, comp_bruhat_geq,
                      compositions, partition_of, partitions, placements,
-                     rearrangements, rem_k, reverse, strongof,
-                     weak_compositions)
+                     rearrangements, reverse, strongof, weak_compositions)
 
 
 # ---------------------------------------------------------------------------
@@ -100,40 +99,31 @@ def coeff_classical(mu: Sequence[int], lam: Sequence[int], nu: Sequence[int]) ->
                if is_lr_skew_ct(t))
 
 
-def _rem_preimage(big, small) -> bool:
-    for k in set(big) - {0}:
-        if tuple(rem_k(big, k)) == tuple(small):
-            return True
-    return False
-
-
 def pieri_single_box(kind: str, shape: Sequence[int]) -> list:
     """All shapes whose single-box removal recovers the input.
 
     kind "atom": weak compositions delta with rem_k(delta) = shape;
     kind "qs": compositions beta with rem_k(beta) = shape.
+
+    A preimage of the same length is some shape + e_i, and rem_k lowers
+    the rightmost part equal to k, so shape + e_i is one exactly when no
+    later part of shape equals shape_i + 1.  A composition also drops a
+    part lowered to 0, so its longer preimages are shape with a 1
+    inserted anywhere after its last 1.
     """
     if kind == "atom":
-        gamma = WeakComposition(shape)
-        cands = set()
-        for i in range(len(gamma)):
-            d = list(gamma)
-            d[i] += 1
-            cands.add(WeakComposition(d))
-        return sorted(d for d in cands if _rem_preimage(d, gamma))
+        shape = WeakComposition(shape)
+    elif kind == "qs":
+        shape = Composition(shape)
+    else:
+        raise ValueError(f"kind must be 'atom' or 'qs', got {kind!r}")
+    found = [shape[:i] + (p + 1,) + shape[i + 1:]
+             for i, p in enumerate(shape) if p + 1 not in shape[i + 1:]]
     if kind == "qs":
-        alpha = Composition(shape)
-        cands = set()
-        for i in range(len(alpha)):
-            b = list(alpha)
-            b[i] += 1
-            cands.add(Composition(b))
-        for p in range(len(alpha) + 1):
-            b = list(alpha)
-            b.insert(p, 1)
-            cands.add(Composition(b))
-        return sorted(b for b in cands if _rem_preimage(b, alpha))
-    raise ValueError(f"kind must be 'atom' or 'qs', got {kind!r}")
+        last = max((i for i, p in enumerate(shape) if p == 1), default=-1)
+        found += [shape[:i] + (1,) + shape[i:]
+                  for i in range(last + 1, len(shape) + 1)]
+    return sorted(type(shape)._trusted(b) for b in found)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from skyline.contretab import ContreTableau
 from skyline.enumgen import enum_ct, enum_ssk_shape
 from skyline.errors import NonIntegralCoefficient, NotInSpan, SizeMismatch
-from skyline.fillings import BasementKind, Filling, SkewShape
+from skyline.fillings import BasementKind, Filling, SkewShape, is_inversion
 from skyline.lrrules import coeff_a, coeff_b
 from skyline.poly import Polynomial, atom_poly
 from skyline.shapes import (Partition, WeakComposition, comp_bruhat_geq,
@@ -215,6 +215,33 @@ def enum_ssyt(lam, n):
             yield from fill(nr, nc)
 
     yield from fill(0, 0)
+
+
+def ssc_oracle(beta, n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Composition tableaux of shape beta with entries in [n], from the
+    definition alone: every array in [1, n]^|beta| whose rows weakly
+    decrease, whose first column strictly increases from top to bottom,
+    and whose triples are all inversion triples.  For rows i < j these
+    are ((i,k),(j,k),(i,k-1)) for k = 2..beta_j when beta_i >= beta_j,
+    and ((j,k+1),(i,k),(j,k)) for k = 1..beta_i otherwise."""
+    beta = tuple(beta)
+    ends = list(itertools.accumulate(beta, initial=0))
+    pairs = list(itertools.combinations(range(len(beta)), 2))
+    found = []
+    for flat in itertools.product(range(1, n + 1), repeat=sum(beta)):
+        t = tuple(flat[lo:hi] for lo, hi in zip(ends, ends[1:]))
+        if any(a < b for row in t for a, b in zip(row, row[1:])):
+            continue
+        if any(u[0] >= v[0] for u, v in zip(t, t[1:])):
+            continue
+        if all(is_inversion(t[i][k - 1], t[j][k - 1], t[i][k - 2])
+               for i, j in pairs if beta[i] >= beta[j]
+               for k in range(2, beta[j] + 1)) and \
+           all(is_inversion(t[j][k], t[i][k - 1], t[j][k - 1])
+               for i, j in pairs if beta[i] < beta[j]
+               for k in range(1, beta[i] + 1)):
+            found.append(t)
+    return found
 
 
 def skew_shapes(max_outer_size: int, max_n: int):

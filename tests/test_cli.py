@@ -249,6 +249,10 @@ def test_compute_qs_many_parts(capsys):
     (["verify", "all", "--max-n", "-1"], None),
     (["verify", "qs", "--max-size", "-1", "--json"], None),
     (["verify", "consistency", "--max-lambda", "-2"], None),
+    (["compute", "schur", "--shape", "", "--n", "-3"], None),
+    (["compute", "qs", "--shape", "", "--n", "-1"], None),
+    (["compute", "atom", "--shape", "", "--n", "-1"], None),
+    (["expand", "qs", "--shape", "", "--lambda", "", "--n", "-1"], None),
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, argv, stdin):
     if stdin is not None:
@@ -256,6 +260,9 @@ def test_bad_input_is_a_usage_error(capsys, monkeypatch, argv, stdin):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    n = argv[argv.index("--n") + 1] if "--n" in argv else "0"
+    if int(n) < 0:  # one message for every command, not a shape error
+        assert err == f"error: --n must be nonnegative, got {n}\n"
 
 
 # -- the exit-code contract over small random command lines ---------------

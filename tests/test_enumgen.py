@@ -2,14 +2,14 @@ import itertools
 
 import pytest
 
-from conftest import LRC_EXAMPLE, RESHAPE_SIGMA, skew_shapes
+from conftest import LRC_EXAMPLE, RESHAPE_SIGMA, skew_shapes, ssc_oracle
 from skyline.enumgen import (count_lrc, enum_ct, enum_lrk, enum_lrs, enum_ssc,
                              enum_ssk_shape, lrc_representatives, reshape)
 from skyline.errors import NotContreLattice, NotRearrangement, SizeMismatch
 from skyline.contretab import ContreTableau, is_ct
 from skyline.fillings import BasementKind, Filling, SkewShape, is_ssk
-from skyline.shapes import (partition_of, partitions, rearrangements, strongof,
-                            weak_compositions)
+from skyline.shapes import (compositions, partition_of, partitions,
+                            rearrangements, strongof, weak_compositions)
 from skyline.words import (col_word, column_sets, is_contre_lattice,
                            is_regular_contre_lattice)
 
@@ -220,3 +220,23 @@ def test_enum_ssc_matches_flattened_standard_fillings():
                     flattened.append(tuple(r for r, size in
                                            zip(f.rows, g) if size))
             assert ssc == sorted(flattened)
+
+
+def test_enum_ssc_matches_the_definition():
+    def fill_order(t):  # bottom row first, left to right
+        return [v for row in reversed(t) for v in row]
+
+    for size in range(6):
+        for beta in compositions(size):
+            for n in range(5):
+                oracle = ssc_oracle(beta, n)
+                assert list(enum_ssc(beta, n)) == \
+                    sorted(oracle, key=fill_order, reverse=True)
+                for c in weak_compositions(size, n):
+                    want = [t for t in oracle
+                            if all(sum(row.count(v) for row in t) == c[v - 1]
+                                   for v in range(1, n + 1))]
+                    assert sorted(enum_ssc(beta, n, c)) == want
+    assert list(enum_ssc((), 0)) == [()]
+    assert list(enum_ssc((), 3)) == [()]
+    assert list(enum_ssc((1, 2), 1)) == []
