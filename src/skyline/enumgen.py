@@ -12,15 +12,16 @@ cell is placed.  Skyline fillings are placed in row reading order
 a row and the rows below it is known once the row's length is chosen,
 and becomes checkable exactly when its last data cell is placed.  So
 with free row lengths one search finds the LR tableaux of every outer
-shape at once (`_lr_counts`), and the fixed shapes of `enum_ssk_shape`
-and `enum_ct` are the case of forced lengths.  Composition tableaux
+shape with no empty row at once (`_lr_counts`; the LR rules put the
+empty rows back), and the fixed shapes of `enum_ssk_shape` and
+`enum_ct` are the case of forced lengths.  Composition tableaux
 (`enum_ssc`) are standard-basement skyline fillings with the empty rows
 dropped, so they come from the same skyline search.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, compress
+from itertools import compress
 from typing import Callable, Iterator, Sequence
 
 from .errors import (InvalidShape, NotContreLattice, NotRearrangement,
@@ -41,20 +42,21 @@ Layout = tuple[Sequence[Triple], list[Step]]
 
 def _search(grid: list[list[int]], delta: list[int],
             rows: Sequence[tuple[int, int, int, int]],
-            layout: Callable[[int], Layout | None], size: int, n: int,
+            layout: Callable[[int], Layout], size: int, n: int,
             content: Sequence[int] | None = None) -> Iterator[None]:
     """Place `size` entries in [1, n] in `grid`, row by row, in every way
     that respects the layouts and the exact content, if given.
 
     rows[d] = (i, lo, shortest, longest): the d-th row filled, row i,
-    holds delta[i] - lo cells.  The search sets delta[i] as it reaches
-    the row, trying each length in [shortest, longest] in increasing
-    order; the last row takes every cell still unplaced.  layout(i) then
-    reads delta and returns None when that length is ruled out, or (now,
-    cells): the triples to check at once, and the row's cells in the
-    order they are filled, each (i, k, caps, checks) for the grid cell
-    (i, k).  A layout depends only on the lengths chosen so far, so it is
-    reused until the row before it gives up its length.
+    holds delta[i] - lo cells, and the shortest - lo of them that every
+    length gives it are set aside for it from the start.  The search sets
+    delta[i] as it reaches the row, trying each length in [shortest,
+    longest] in increasing order; the last row takes every cell still
+    unplaced.  layout(i) then reads delta and returns (now, cells): the
+    triples to check at once, and the row's cells in the order they are
+    filled, each (i, k, caps, checks) for the grid cell (i, k).  A layout
+    depends only on the lengths chosen so far, so it is reused until the
+    row before it gives up its length.
 
     The entry at cell (i, k) is at most grid[r][c] - offset for each
     (r, c, offset) in caps, and every triple in checks, like those in
@@ -77,7 +79,8 @@ def _search(grid: list[list[int]], delta: list[int],
     # memo[d]: row d's layouts by length, from when row d - 1 takes its
     # length until it gives it up; so memo[d + 1] exists iff row d has one
     memo: list[dict] = [{}]
-    left = size  # cells not yet in a row with a length
+    # cells not yet in a row with a length, past each row's shortest length
+    left = size - sum(shortest - lo for _, lo, shortest, _ in rows)
     t = 0
     while t >= 0:
         if t == len(steps):
@@ -86,31 +89,31 @@ def _search(grid: list[list[int]], delta: list[int],
             continue
         step = steps[t]
         if step.__class__ is int:  # choose the length of the row at depth `step`
-            i, lo, length, longest = rows[step]
+            i, _, shortest, longest = rows[step]
+            length = shortest
             del steps[t + 1:]
             if len(memo) > step + 1:  # back at this row: release its length
                 memo.pop()
-                left += delta[i] - lo
+                left += delta[i] - shortest
                 length = delta[i] + 1
-            if longest > lo + left:
-                longest = lo + left
-            if step == last and length < lo + left:
-                length = lo + left
+            if longest > shortest + left:
+                longest = shortest + left
+            if step == last and length < shortest + left:
+                length = shortest + left
             layouts = memo[step]
             while length <= longest:
                 delta[i] = length
-                found = layouts.get(length, False)
-                if found is False:
+                found = layouts.get(length)
+                if found is None:
                     found = layouts[length] = layout(i)
-                if found is not None:
-                    for (ra, ca), (rb, cb), (rc, cc) in found[0]:
-                        if not is_inversion(grid[ra][ca], grid[rb][cb], grid[rc][cc]):
-                            break
-                    else:
+                for (ra, ca), (rb, cb), (rc, cc) in found[0]:
+                    if not is_inversion(grid[ra][ca], grid[rb][cb], grid[rc][cc]):
                         break
+                else:
+                    break
                 length += 1
             if length <= longest:
-                left -= length - lo
+                left -= length - shortest
                 memo.append({})
                 steps.extend(found[1])
                 if step < last:
@@ -157,40 +160,33 @@ def _fixed(grid: list[list[int]], steps: list[Step], n: int,
 
 
 def _skyline(inner: Sequence[int], basement: BasementKind, size: int,
-             content: Sequence[int] | None, outer: Sequence[int] | None = None,
-             trailing_zeros: bool = False
+             content: Sequence[int] | None, outer: Sequence[int] | None = None
              ) -> Iterator[tuple[list[list[int]], list[int]]]:
     """The semistandard skyline fillings of `size` cells of shape
-    delta/inner on the basement: of the given outer shape, or of every
-    delta containing inner when outer is None, and then, with
-    trailing_zeros, only those delta whose zero parts all come last.
+    delta/inner on the basement: of the given outer shape, or, when outer
+    is None, of every delta containing inner with no empty row (a row
+    with nothing of inner gets at least one cell).  Then the entries run
+    up to the content's length, and the basement values stay above them
+    in the same order, however few rows there are.
 
     Yields (grid, delta) once per filling, both reused, so read them
     before the next one.  grid[i][k] is the cell (i + 1, k); column 0 and
     the inner cells hold the basement value of the row.
     """
     n = len(inner)
-    bvals = basement_values(basement, n)
+    top = n if outer is not None else max(n, len(content))
+    bvals = basement_values(basement, top)[:n]
     longest = [g + size for g in inner] if outer is None else outer
     grid = [[bvals[i]] * (inner[i] + 1) + [0] * (longest[i] - inner[i])
             for i in range(n)]
     delta = list(inner if outer is None else outer)
-    # for trailing_zeros: the cells of inner from row i down, and the rows
-    # above row i with nothing of inner, each of which must get a cell
-    # once row i or a row below it is nonzero
-    inner_from = list(accumulate(reversed(inner), initial=0))[::-1]
-    empty_above = list(accumulate((g == 0 for g in inner), initial=0))
 
-    def layout(i: int) -> Layout | None:
+    def layout(i: int) -> Layout:
         # Each triple between row i and a row j below it is binned on its
         # data cell in row i, or checked at once when its data cells all
         # lie in row j.  A triple with no data cell reads (b, b', b) for
         # two distinct basement values, always an inversion triple.
         di, gi = delta[i], inner[i]
-        if trailing_zeros:
-            filled = sum(delta[i:])
-            if filled and (di == 0 or filled - inner_from[i] + empty_above[i] > size):
-                return None
         now: list[Triple] = []
         checks: list[list[Triple]] = [[] for _ in range(di - gi)]
         for j in compress(range(i + 1, n), delta[i + 1:]):  # rows below, not empty
@@ -214,8 +210,9 @@ def _skyline(inner: Sequence[int], basement: BasementKind, size: int,
     if outer is None:
         # bottom row first: in that order every triple is known once the
         # length of its upper row is chosen
-        rows = [(i, inner[i], inner[i], longest[i]) for i in range(n - 1, -1, -1)]
-        search = _search(grid, delta, rows, layout, size, n, content)
+        rows = [(i, inner[i], max(inner[i], 1), longest[i])
+                for i in range(n - 1, -1, -1)]
+        search = _search(grid, delta, rows, layout, size, top, content)
     else:
         # every length is known: lay all rows out at once, with each
         # triple checked at its last data cell in fill order
@@ -259,16 +256,14 @@ def enum_ssk_shape(outer: Sequence[int], basement: BasementKind,
 
 
 def _lr_counts(inner: Sequence[int], basement: BasementKind,
-               content: Sequence[int], trailing_zeros: bool = False
-               ) -> dict[tuple[int, ...], int]:
+               content: Sequence[int]) -> dict[tuple[int, ...], int]:
     """The nonzero numbers of LR tableaux of shape delta/inner on the
     basement with the given content (a regular contre-lattice column
-    word), by outer shape delta, from one search over every delta at
-    once; with trailing_zeros, only for delta whose zero parts come
-    last."""
+    word), by outer shape delta with no empty row, from one search over
+    every such delta at once.  Entries run up to the content's length,
+    whatever the number of rows."""
     counts: dict[tuple[int, ...], int] = {}
-    for grid, delta in _skyline(inner, basement, sum(content), content,
-                                trailing_zeros=trailing_zeros):
+    for grid, delta in _skyline(inner, basement, sum(content), content):
         if is_regular_contre_lattice(_col_word(grid, inner, delta)):
             key = tuple(delta)
             counts[key] = counts.get(key, 0) + 1
@@ -337,6 +332,11 @@ def reshape(y: Filling, sigma: Sequence[int]) -> Filling:
         raise NotContreLattice(f"input is not an SSK: {report.failure}")
     if not is_contre_lattice(col_word(y)):
         raise NotContreLattice("input column word is not contre-lattice")
+    return _reshape(y, sigma)
+
+
+def _reshape(y: Filling, sigma: Sequence[int]) -> Filling:
+    """reshape of a filling already known to be a contre-lattice SSK."""
     sigma = WeakComposition(sigma)
     if sorted(sigma) != sorted(y.shape.outer):
         raise NotRearrangement(

@@ -2,13 +2,15 @@
 characters, and quasisymmetric Schur polynomials, with verification
 harnesses that check every expansion two ways: tableau enumeration
 against exact polynomial arithmetic.  The harness peels each product in
-the rule's own basis, so it needs no change of basis, and counts the
-product's LR tableaux of every outer shape in one search per product
-(one per placement of the index for QS), not one per candidate outer
-shape.  The tables of a query are memoized, and a QS table reads the
-atom tables of its placements from that memo when an atom sweep has
-already counted them.  The per-shape counts coeff_a, coeff_b and
-coeff_qs stay public.
+the rule's own basis, so it needs no change of basis, and builds the
+product's table of LR tableau counts by outer shape from searches that
+count the outer shapes with no empty row, one search per inner shape and
+content, kept in the query memo with no n in the key.  An atom or
+character table sums those counts over the zero rows that stay empty,
+and a QS table over the placements of its index in m rows for each m,
+so the QS rule reads the atom rule's searches.  The per-shape counts
+coeff_a, coeff_b and coeff_qs stay public, and the tests use them as the
+oracle for the tables.
 
 The consistency identity rests on the character decomposition into
 atoms, kappa_g = sum of atoms over weak compositions weakly above g in
@@ -20,6 +22,7 @@ already fails at n = 2, and the tests pin the form used here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from operator import add
 from typing import Iterator, Sequence
 
@@ -174,10 +177,11 @@ def _outer_candidates(gamma: WeakComposition, size: int) -> Iterator[WeakComposi
 
 
 # The memo of one query: LR coefficient tables keyed by (basis letter,
-# shape, lam, n) and Bruhat intervals keyed by (up, g).  A sweep meets each
-# product under several rules (the consistency identity sums exactly the
-# counts of the atom and character rules, and a QS table those of the
-# atom rule), so each is counted once.
+# shape, lam, n), the LR tableau counts they sum keyed by (basement, inner
+# shape, content), and Bruhat intervals keyed by (up, g).  A sweep meets
+# each product under several rules (the consistency identity sums exactly
+# the counts of the atom and character rules), and the tables of many
+# products, of every n, under one inner shape, so each is counted once.
 # poly.clear_caches empties it.
 _memo: dict = {}
 _caches.append(_memo)
@@ -201,53 +205,106 @@ def _qs_index(e: tuple[int, ...]) -> Composition | None:
     return beta if e[len(e) - len(beta):] == beta else None
 
 
+def _counts(basement: BasementKind, inner: tuple[int, ...],
+            content: tuple[int, ...]) -> dict:
+    """_lr_counts, kept in the query memo under a key with no n in it, so
+    the products of every n whose tables reach this shape share it."""
+    key = (basement, inner, content)
+    counts = _memo.get(key)
+    if counts is None:
+        counts = _memo[key] = _lr_counts(inner, basement, content)
+    return counts
+
+
+def _skyline_table(gamma: Sequence[int], lam: Partition,
+                   basement: BasementKind) -> dict:
+    """The LR tableau counts of shape delta/gamma on the large or shifted
+    basement, by delta: the sum, over the sets of zero rows of gamma that
+    stay empty, of the counts on gamma with those rows deleted, whose
+    outer shapes have no empty row, read back with the zeros put in.
+
+    An empty row i (gamma_i = delta_i = 0) is in no triple that can fail,
+    so deleting it changes no count.  A row above it meets it only in
+    type A triples of columns 1..delta_i, so in none, and an empty row
+    below it in none either.  A nonempty row j below it meets it in one
+    type B triple, (x, b_i, b_j) with x the cell (j, 1), and x <= b_j.
+    On the large basement b_i > b_j, so x <= b_j < b_i makes it an
+    inversion triple: any set of zero rows may stay empty, and as each
+    kept zero row needs a cell, at most |lam| of them are kept.  On the
+    shifted basement b_i < b_j, so it is an inversion triple only when
+    b_i < x, that is, when x is the basement value b_j of a row with a
+    part of gamma, never when x is an entry.  So there a zero row stays
+    empty only if every zero row below it does: the empty zero rows are
+    the last ones.  The column word does not see empty rows either, and
+    the search keeps the basement values above the entries in the same
+    order, so each term is a count on the smaller shape alone.
+    """
+    n = len(gamma)
+    table: dict = {}
+    if len(lam) > n:  # an n-row search has no entry above n
+        return table
+    content = reverse(lam)
+    parts = [i for i, g in enumerate(gamma) if g]
+    zeros = [i for i, g in enumerate(gamma) if not g]
+    most = min(len(zeros), lam.size)
+    if basement is BasementKind.LARGE:
+        kept_sets = (kept for r in range(most + 1) for kept in combinations(zeros, r))
+    else:
+        kept_sets = (zeros[:r] for r in range(most + 1))
+    for kept in kept_sets:
+        rows = sorted(parts + list(kept))
+        if not rows:
+            continue
+        for d, c in _counts(basement, tuple(gamma[i] for i in rows), content).items():
+            delta = [0] * n
+            for i, p in zip(rows, d):
+                delta[i] = p
+            table[tuple(delta)] = c
+    return table
+
+
 def _qs_table(alpha: Composition, lam: Partition, n: int) -> dict:
     """The QS table: LR skyline tableaux of shape delta/gamma with zeros
     trailing in delta, summed over the placements gamma of alpha in n
     rows, by delta without its zeros.  These are the classes that
     count_lrc counts, padded to n rows.
 
-    A placement's counts come from its atom-rule table when the memo
-    holds it (a sweep has run the atom rule first), and otherwise from a
-    search with trailing_zeros.  Both count the same tableaux: that
-    search only rules out the row lengths that put a zero before a
-    nonzero part, or that leave too few cells to fill every zero row of
-    gamma above a nonzero one, so it yields exactly the fillings of the
-    full search whose delta has its zeros trailing, and the atom table is
-    the full search's counts by delta."""
+    Such a delta is a composition beta of some length m over n - m empty
+    rows, the last rows, which _skyline_table's argument deletes.  So the
+    table sums, over m, the counts on the placements of alpha in m rows,
+    whose outer shapes with no empty row are the betas themselves.  Each
+    of the m - len(alpha) zero rows of a placement needs a cell.
+    """
     table: dict = {}
+    if len(lam) > n:  # as in _skyline_table
+        return table
     content = reverse(lam)
-    for gamma in placements(alpha, n):
-        counts = _memo.get(("A", gamma, lam, n))
-        if counts is None:
-            counts = _lr_counts(gamma, BasementKind.LARGE, content,
-                                trailing_zeros=True)
-        for delta, c in counts.items():
-            beta = tuple(p for p in delta if p)
-            if delta[:len(beta)] == beta:  # the zeros of delta trail
+    for m in range(max(len(alpha), 1), min(n, len(alpha) + lam.size) + 1):
+        for gamma in placements(alpha, m):
+            for beta, c in _counts(BasementKind.LARGE, gamma, content).items():
                 table[beta] = table.get(beta, 0) + c
     return table
 
 
 # One row per LR rule, keyed by the basis letter of the identity label:
 # the index type, the basis, the table of LR tableau counts by outer shape
-# (one search per product: the atom rule on the large basement, the
-# character rule on reversed shapes over the shifted basement), and a map
-# from an exponent to the index of the basis element that leads with it:
-# the atom A_g and the character kappa_g lead with x^g, QS_beta with
-# x^(0, ..., 0, beta).  The rows call the module-level functions by name
-# when they run, so a wrapper installed on one of those names (as
-# perfbench/tracing.py does) sees every call.
+# (the atom rule on the large basement, the character rule on reversed
+# shapes over the shifted basement, the QS rule from the atom rule's
+# counts), and a map from an exponent to the index of the basis element
+# that leads with it: the atom A_g and the character kappa_g lead with
+# x^g, QS_beta with x^(0, ..., 0, beta).  The rows call the module-level
+# functions by name when they run, so a wrapper installed on one of those
+# names (as perfbench/tracing.py does) sees every call.
 _THEOREMS = {
     "A": (WeakComposition,
           lambda g, n: atom_poly(g, n),
-          lambda g, lam, n: _lr_counts(g, BasementKind.LARGE, reverse(lam)),
+          lambda g, lam, n: _skyline_table(g, lam, BasementKind.LARGE),
           WeakComposition._trusted),
     "k": (WeakComposition,
           lambda g, n: char_poly(g, n),
           lambda g, lam, n: {
-              d[::-1]: c for d, c in _lr_counts(
-                  g[::-1], BasementKind.SHIFTED, reverse(lam)).items()},
+              d[::-1]: c for d, c in _skyline_table(
+                  g[::-1], lam, BasementKind.SHIFTED).items()},
           WeakComposition._trusted),
     "S": (Composition,
           lambda a, n: qs_poly(a, n),

@@ -72,7 +72,8 @@ class Composition(WeakComposition):
             return parts
         self = super().__new__(cls, parts)
         if any(p < 1 for p in self):
-            raise InvalidShape(f"composition parts must be positive: {tuple(self)}")
+            raise InvalidShape(
+                f"{cls.__name__.lower()} parts must be positive: {tuple(self)}")
         return self
 
 

@@ -8,7 +8,8 @@ import time
 
 from conftest import LRC_EXAMPLE, skew_shapes, word_str
 from skyline.contretab import rho, rho_inv
-from skyline.enumgen import enum_ct, enum_ssk_shape, lrc_representatives, reshape
+from skyline.enumgen import (_reshape, enum_ct, enum_ssk_shape,
+                             lrc_representatives, reshape)
 from skyline.fillings import (BasementKind, Filling, SkewShape, is_nonattacking,
                               is_ssk)
 from skyline.lrrules import (coeff_b, coeff_classical, sweep,
@@ -172,14 +173,6 @@ def test_criterion_8_structural_decompositions():
                     assert total == char_poly(g, n)
 
 
-def _contre_ssk(max_cells, max_n, kinds):
-    for outer, inner, n in skew_shapes(max_cells, max_n):
-        for kind in kinds:
-            for f in enum_ssk_shape(outer, kind, inner):
-                if is_contre_lattice(col_word(f)):
-                    yield f
-
-
 def _rightmost_minimum(f):
     best = None
     x = min(v for row in f.rows for v in row)
@@ -227,21 +220,25 @@ def test_criterion_9_proposition_suite():
     with criterion(9, "skyline structure propositions, exhaustively to 5 "
                       "cells and n <= 4", budget=300.0):
         decreasing = (BasementKind.REVERSED, BasementKind.LARGE)
+        # every SSK up to 5 cells with n <= 4, on all four basements,
+        # enumerated once for the checks below
+        family = [f for outer, inner, n in skew_shapes(5, 4)
+                  for kind in BasementKind
+                  for f in enum_ssk_shape(outer, kind, inner)]
+        contre = [f for f in family if is_contre_lattice(col_word(f))]
 
         # every SSK is non-attacking, on all four basements
-        for f in (g for outer, inner, n in skew_shapes(5, 4)
-                  for kind in BasementKind
-                  for g in enum_ssk_shape(outer, kind, inner)):
+        for f in family:
             assert is_nonattacking(f)
 
         # contre-lattice iff loosely contre-lattice when basements exceed n
-        for outer, inner, n in skew_shapes(5, 4):
-            for f in enum_ssk_shape(outer, BasementKind.LARGE, inner):
+        for f in family:
+            if f.basement is BasementKind.LARGE:
                 assert is_contre_lattice(col_word(f)) == \
                     is_loosely_contre_lattice(f)
 
         # reduction properties of the rightmost minimal cell
-        for f in _contre_ssk(5, 4, tuple(BasementKind)):
+        for f in contre:
             if not any(f.rows):
                 continue
             i, k = _rightmost_minimum(f)
@@ -260,20 +257,23 @@ def test_criterion_9_proposition_suite():
         # unique reshaping per rearranged overall shape, with flattening
         # invariance of the resulting basement shapes
         seen = set()
-        for y in _contre_ssk(5, 4, tuple(BasementKind)):
-            key0 = (column_sets(y), tuple(sorted(y.shape.outer)), y.n)
+        for y in contre:
+            sets = column_sets(y)
+            key0 = (sets, tuple(sorted(y.shape.outer)), y.n)
             by_flat = {}
+            checked = False
             for sigma in rearrangements(partition_of(y.shape.outer), y.n):
-                out = reshape(y, sigma)
-                assert column_sets(out) == column_sets(y)
+                # reshape validates y once; the other sigmas skip that
+                out = _reshape(y, sigma) if checked else reshape(y, sigma)
+                checked = True
+                assert column_sets(out) == sets
                 assert is_ssk(out) and is_contre_lattice(col_word(out))
                 by_flat.setdefault(strongof(sigma), set()).add(
                     strongof(out.shape.inner))
                 key = key0 + (tuple(sigma),)
                 if key not in seen:
                     seen.add(key)
-                    matches = _matching_fillings(column_sets(y), tuple(sigma),
-                                                 y.n)
+                    matches = _matching_fillings(sets, tuple(sigma), y.n)
                     assert matches == [out]
             assert all(len(v) == 1 for v in by_flat.values())
 

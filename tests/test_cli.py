@@ -253,6 +253,7 @@ def test_compute_qs_many_parts(capsys):
     (["compute", "qs", "--shape", "", "--n", "-1"], None),
     (["compute", "atom", "--shape", "", "--n", "-1"], None),
     (["expand", "qs", "--shape", "", "--lambda", "", "--n", "-1"], None),
+    (["expand", "atoms", "--shape", "1,0", "--lambda", "2,1,0", "--n", "3"], None),
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, argv, stdin):
     if stdin is not None:
@@ -263,6 +264,8 @@ def test_bad_input_is_a_usage_error(capsys, monkeypatch, argv, stdin):
     n = argv[argv.index("--n") + 1] if "--n" in argv else "0"
     if int(n) < 0:  # one message for every command, not a shape error
         assert err == f"error: --n must be nonnegative, got {n}\n"
+    if "2,1,0" in argv:  # --lambda takes a partition, and the error says so
+        assert err == "error: partition parts must be positive: (2, 1, 0)\n"
 
 
 # -- the exit-code contract over small random command lines ---------------

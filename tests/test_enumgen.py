@@ -3,8 +3,9 @@ import itertools
 import pytest
 
 from conftest import LRC_EXAMPLE, RESHAPE_SIGMA, skew_shapes, ssc_oracle
-from skyline.enumgen import (count_lrc, enum_ct, enum_lrk, enum_lrs, enum_ssc,
-                             enum_ssk_shape, lrc_representatives, reshape)
+from skyline.enumgen import (_lr_counts, _skyline, count_lrc, enum_ct,
+                             enum_lrk, enum_lrs, enum_ssc, enum_ssk_shape,
+                             lrc_representatives, reshape)
 from skyline.errors import NotContreLattice, NotRearrangement, SizeMismatch
 from skyline.contretab import ContreTableau, is_ct
 from skyline.fillings import BasementKind, Filling, SkewShape, is_ssk
@@ -117,6 +118,36 @@ def test_enum_lrk(lrk_example):
     assert lrk_example in found
     assert len(found) == 1  # brute-forced count for this shape pair
     assert list(enum_lrk((1, 1), (1, 1), ())) == []
+
+
+def test_free_search_fills_every_row():
+    # the table search yields every outer shape with no empty row at once,
+    # with entries up to the content's length whatever the number of rows:
+    # the fillings of each such shape padded with empty rows to that length
+    kinds = (BasementKind.LARGE, BasementKind.SHIFTED)
+    for m in range(1, 4):
+        for inner in (g for s in range(3) for g in weak_compositions(s, m)):
+            for size in range(1, 4):
+                for content in (c for r in range(1, 5)
+                                for c in weak_compositions(size, r) if c[-1]):
+                    pad = (0,) * max(0, len(content) - m)
+                    outers = [tuple(map(sum, zip(inner, e)))
+                              for e in weak_compositions(size, m)]
+                    for kind in kinds:
+                        got = sorted(
+                            (tuple(delta), tuple(tuple(row[g + 1:d + 1]) for row, g, d
+                                                 in zip(grid, inner, delta)))
+                            for grid, delta in _skyline(inner, kind, size, content))
+                        expected = sorted(
+                            (outer, f.rows[:m]) for outer in outers if all(outer)
+                            for f in enum_ssk_shape(outer + pad, kind, inner + pad,
+                                                    content=content))
+                        assert got == expected, (inner, content, kind)
+    # fewer rows than entries: one row holds 3, 2, 1 under a basement above
+    # them, and its column word 1, 2, 3 is not contre-lattice
+    assert [grid[0][1:] for grid, _ in
+            _skyline((0,), BasementKind.LARGE, 3, (1, 1, 1))] == [[3, 2, 1]]
+    assert _lr_counts((0,), BasementKind.LARGE, (1, 1, 1)) == {}
 
 
 def test_enum_lrk_partition_shapes_are_skew_ct():

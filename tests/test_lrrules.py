@@ -234,15 +234,44 @@ def test_tables_match_one_coefficient_per_outer_shape(label, instances,
             assert _lr_table(label, *case) == table, case
 
 
+def _past_four_rows(label):
+    """Products on 5 and 6 rows: more zero rows, and so more sets of them
+    left empty, than a 4/4/3 sweep meets."""
+    for n in (5, 6):
+        lams = [lam for size in range(4) for lam in partitions(size)
+                if len(lam) <= n]
+        shapes = ([a for size in range(4) for a in compositions(size)]
+                  if label == "S" else
+                  [g for size in range(3) for g in weak_compositions(size, n)])
+        for shape in shapes:
+            for lam in lams:
+                yield shape, lam, n
+
+
+@pytest.mark.parametrize("label", ["A", "k", "S"])
+def test_tables_match_coefficients_past_four_rows(label, cold_caches):
+    # the tables sum counts over the zero rows that stay empty; each entry
+    # must still be one coefficient of its outer shape
+    coeff, outers = COEFFICIENTS[label]
+    for shape, lam, n in _past_four_rows(label):
+        table = {shape: 1} if lam.size == 0 else {
+            outer: c for outer in outers(shape, lam, n)
+            if (c := coeff(shape, lam, outer))}
+        assert _lr_table(label, shape, lam, n) == table, (shape, lam, n)
+
+
 def test_table_search_does_not_recurse(cold_caches):
     # 300 rows and one cell: every tableau crosses all 300 rows
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
     try:
         table = _lr_table("A", WeakComposition((0,) * 300), Partition((1,)), 300)
+        chars = _lr_table("k", WeakComposition((0,) * 300), Partition((1,)), 300)
     finally:
         sys.setrecursionlimit(limit)
     assert len(table) == 300 and set(table.values()) == {1}
+    # kappa_0 * s_1 = s_1 = kappa_(0, ..., 0, 1)
+    assert chars == {(0,) * 299 + (1,): 1}
 
 
 def test_bruhat_intervals_match_pairwise():
