@@ -30,16 +30,11 @@ def _check_nonnegative(**flags: int) -> None:
 
 def _cmd_compute(args) -> int:
     _check_nonnegative(n=args.n)
-    shape = parse_sequence(args.shape)
-    n = args.n
-    if args.kind == "schur":
-        p = schur_poly(shape, n)
-    elif args.kind == "atom":
-        p = atom_poly(shape, n)
-    elif args.kind == "char":
-        p = char_poly(shape, n)
-    else:
-        p = qs_poly(shape, n)
+    # built per call, so that a wrapper installed on a module-level name
+    # (as perfbench/tracing.py does) sees the call
+    poly = {"schur": schur_poly, "atom": atom_poly, "char": char_poly,
+            "qs": qs_poly}[args.kind]
+    p = poly(parse_sequence(args.shape), args.n)
     if args.json:
         print(json.dumps(p.to_json()))
     else:
@@ -115,14 +110,10 @@ def _cmd_render(args) -> int:
 
 def _cmd_expand(args) -> int:
     _check_nonnegative(n=args.n)
-    shape = parse_sequence(args.shape)
-    lam = parse_sequence(args.lam)
-    if args.basis == "atoms":
-        report = verify_atom_theorem(shape, lam, args.n)
-    elif args.basis == "chars":
-        report = verify_char_theorem(shape, lam, args.n)
-    else:
-        report = verify_qs_theorem(shape, lam, args.n)
+    verify = {"atoms": verify_atom_theorem, "chars": verify_char_theorem,
+              "qs": verify_qs_theorem}[args.basis]  # built per call, as above
+    report = verify(parse_sequence(args.shape), parse_sequence(args.lam),
+                    args.n)
     if args.json:
         print(json.dumps(report.to_json()))
     else:

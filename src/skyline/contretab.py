@@ -9,7 +9,7 @@ import json
 from typing import Sequence
 
 from .errors import InvalidFilling, InvalidShape, NoValidRow, NotSSK
-from .fillings import BasementKind, Filling, SkewShape, is_ssk
+from .fillings import BasementKind, Filling, SkewShape, _render_grid, is_ssk
 from .shapes import Partition, WeakComposition, _as_ints
 from .words import is_regular_contre_lattice, row_word
 
@@ -73,17 +73,6 @@ class ContreTableau:
             return None
         return self.rows[r - 1][c - self._inner_at(r) - 1]
 
-    def row_reading_entries(self):
-        for r in range(self.nrows, 0, -1):
-            yield from self.rows[r - 1]
-
-    def col_reading_entries(self):
-        for c in range(self.ncols, 0, -1):
-            for r in range(1, self.nrows + 1):
-                v = self.value_at(r, c)
-                if v is not None:
-                    yield v
-
     def column_entries(self, c: int) -> list[int]:
         return [self.rows[r - 1][c - self._inner_at(r) - 1]
                 for r in range(1, self.nrows + 1)
@@ -115,16 +104,9 @@ class ContreTableau:
         return cls(data["shape"], data["rows"], data.get("inner", ()))
 
     def render(self) -> str:
-        grid = []
-        for r in range(1, self.nrows + 1):
-            cells = []
-            for c in range(1, self.outer[r - 1] + 1):
-                v = self.value_at(r, c)
-                cells.append("." if v is None else str(v))
-            grid.append(cells)
-        width = max((len(s) for row in grid for s in row), default=1)
-        return "\n".join(" ".join(s.rjust(width) for s in row).rstrip()
-                         for row in grid)
+        """ASCII diagram, inner cells drawn as `.`."""
+        return _render_grid([["."] * self._inner_at(r) + [str(v) for v in row]
+                             for r, row in enumerate(self.rows, start=1)])
 
 
 def is_ct(t: ContreTableau) -> bool:

@@ -45,7 +45,8 @@ def _search(grid: list[list[int]], delta: list[int],
             layout: Callable[[int], Layout], size: int, n: int,
             content: Sequence[int] | None = None) -> Iterator[None]:
     """Place `size` entries in [1, n] in `grid`, row by row, in every way
-    that respects the layouts and the exact content, if given.
+    that respects the layouts and the exact content.  A content of None
+    is a budget of `size` for every entry, which never runs out.
 
     rows[d] = (i, lo, shortest, longest): the d-th row filled, row i,
     holds delta[i] - lo cells, and the shortest - lo of them that every
@@ -66,12 +67,11 @@ def _search(grid: list[list[int]], delta: list[int],
     entries are tried in descending order.
     """
     if content is None:
-        budget = None
+        content = [size] * n
     elif sum(content) != size:
         return
-    else:
-        budget = list(content)[:n]
-        n = len(budget)  # larger entries have no budget
+    budget = list(content)[:n]
+    n = len(budget)  # larger entries have no budget
     last = len(rows) - 1
     # The path: the depth d of a row, where its length is chosen, then one
     # (i, k, caps, checks) per cell of that row.
@@ -126,15 +126,14 @@ def _search(grid: list[list[int]], delta: list[int],
         row = grid[i]
         v = row[k]
         if v:  # back at cell t: release its entry and try the next lower one
-            if budget is not None:
-                budget[v - 1] += 1
+            budget[v - 1] += 1
             v -= 1
         else:  # first visit since the cells before t changed
             v = n
             for r, c, offset in caps:
                 v = min(v, grid[r][c] - offset)
         while v > 0:
-            if budget is None or budget[v - 1]:
+            if budget[v - 1]:
                 row[k] = v
                 for (ra, ca), (rb, cb), (rc, cc) in checks:
                     if not is_inversion(grid[ra][ca], grid[rb][cb], grid[rc][cc]):
@@ -143,8 +142,7 @@ def _search(grid: list[list[int]], delta: list[int],
                     break
             v -= 1
         if v > 0:
-            if budget is not None:
-                budget[v - 1] -= 1
+            budget[v - 1] -= 1
             t += 1
         else:
             row[k] = 0
@@ -232,8 +230,9 @@ def _skyline(inner: Sequence[int], basement: BasementKind, size: int,
 
 def _col_word(grid: list[list[int]], inner: Sequence[int],
               delta: Sequence[int]) -> tuple[int, ...]:
-    """The column word of the filling in `grid`: data entries top to
-    bottom in each column, rightmost column first."""
+    """The column word of the filling in `grid`, in the order of
+    `words.col_word` (data entries top to bottom in each column, rightmost
+    column first), read without building the Filling."""
     return tuple(grid[i][k] for k in range(max(delta, default=0), 0, -1)
                  for i in range(len(delta)) if inner[i] < k <= delta[i])
 

@@ -185,6 +185,10 @@ class Filling:
                         f"entry {v} in row {i} outside [1, {self.n}]")
         self.rows = rows
 
+    @property
+    def ncols(self) -> int:
+        return self.shape.ncols
+
     # -- cell access -------------------------------------------------
 
     def basement_value(self, i: int) -> int:
@@ -200,19 +204,6 @@ class Filling:
 
     def data_cells(self) -> Iterator[tuple[int, int]]:
         return self.shape.data_cells()
-
-    def row_reading_entries(self) -> Iterator[int]:
-        """Entries left to right per row, bottommost row first, basement skipped."""
-        for i in range(self.n, 0, -1):
-            yield from self.rows[i - 1]
-
-    def col_reading_entries(self) -> Iterator[int]:
-        """Entries top to bottom per column, rightmost column first."""
-        outer, inner = self.shape.outer, self.shape.inner
-        for k in range(self.shape.ncols, 0, -1):
-            for i in range(1, self.n + 1):
-                if inner[i - 1] < k <= outer[i - 1]:
-                    yield self.rows[i - 1][k - inner[i - 1] - 1]
 
     def column_entries(self, k: int) -> list[int]:
         """Data entries of column k, top to bottom."""
@@ -274,7 +265,17 @@ class Filling:
         return cls(shape, kind, data["rows"])
 
     def render(self) -> str:
-        return render_filling(self)
+        """ASCII diagram: basement column, `|` separator, inner cells bracketed.
+
+        The large basement is drawn with `*` in place of its values.
+        """
+        large = self.basement is BasementKind.LARGE
+        grid = []
+        for i, row in enumerate(self.rows):
+            bval = "*" if large else str(self._bvals[i])
+            grid.append([bval, "|"] + [f"[{bval}]"] * self.shape.inner[i]
+                        + [str(v) for v in row])
+        return _render_grid(grid)
 
 
 def weight_monomial(f: Filling) -> tuple[int, ...]:
@@ -332,22 +333,9 @@ def is_nonattacking(f: Filling) -> bool:
     return True
 
 
-def render_filling(f: Filling) -> str:
-    """ASCII diagram: basement column, `|` separator, inner cells bracketed.
-
-    The large basement is drawn with `*` in place of its values.
-    """
-    large = f.basement is BasementKind.LARGE
-    grid: list[list[str]] = []
-    for i in range(1, f.n + 1):
-        bval = "*" if large else str(f.basement_value(i))
-        cells = []
-        for k in range(1, f.shape.outer[i - 1] + 1):
-            if k <= f.shape.inner[i - 1]:
-                cells.append(f"[{bval}]")
-            else:
-                cells.append(str(f.value_at(i, k)))
-        grid.append([bval, "|"] + cells)
+def _render_grid(grid: Sequence[Sequence[str]]) -> str:
+    """The lines of a diagram, each cell right-justified to the widest
+    cell of the whole grid, with trailing blanks stripped."""
     width = max((len(s) for row in grid for s in row), default=1)
-    lines = [" ".join(s.rjust(width) for s in row).rstrip() for row in grid]
-    return "\n".join(lines)
+    return "\n".join(" ".join(s.rjust(width) for s in row).rstrip()
+                     for row in grid)

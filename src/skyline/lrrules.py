@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import add
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import NotInSpan, ShapeMismatch, SizeMismatch
 from .contretab import is_lr_skew_ct
@@ -403,26 +403,27 @@ def _index_partitions(max_lambda: int, n: int) -> list[Partition]:
     return out
 
 
-def iter_atom_instances(max_n: int, max_size: int, max_lambda: int
-                        ) -> Iterator[tuple[WeakComposition, Partition, int]]:
+def _instances(max_n: int, max_size: int, max_lambda: int,
+               shapes: Callable[[int, int], Iterable]) -> Iterator[tuple]:
+    """(shape, lam, n) for n <= max_n, shape in shapes(size, n) for size
+    <= max_size, and lam a partition of <= max_lambda with <= n parts."""
     for n in range(1, max_n + 1):
         lams = _index_partitions(max_lambda, n)
         for size in range(0, max_size + 1):
-            for gamma in weak_compositions(size, n):
+            for shape in shapes(size, n):
                 for lam in lams:
-                    yield gamma, lam, n
+                    yield shape, lam, n
+
+
+def iter_atom_instances(max_n: int, max_size: int, max_lambda: int
+                        ) -> Iterator[tuple[WeakComposition, Partition, int]]:
+    return _instances(max_n, max_size, max_lambda, weak_compositions)
 
 
 def iter_qs_instances(max_n: int, max_size: int, max_lambda: int
                       ) -> Iterator[tuple[Composition, Partition, int]]:
-    for n in range(1, max_n + 1):
-        lams = _index_partitions(max_lambda, n)
-        for size in range(0, max_size + 1):
-            for alpha in compositions(size):
-                if len(alpha) > n:
-                    continue
-                for lam in lams:
-                    yield alpha, lam, n
+    return _instances(max_n, max_size, max_lambda, lambda size, n: (
+        alpha for alpha in compositions(size) if len(alpha) <= n))
 
 
 def iter_consistency_instances(max_n: int, max_size: int, max_lambda: int

@@ -1,7 +1,9 @@
 """Reading words, content, and the contre-lattice predicates.
 
-Words are plain tuples of positive integers.  The row and column words
-of a filling or contretableau ignore basement and inner cells.
+Words are plain tuples of positive integers.  The row and column
+reading orders of both fillings and contretableaux are defined here, on
+their `rows`, `ncols` and `column_entries`; the words ignore basement
+and inner cells.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ from .shapes import WeakComposition
 
 def row_word(t) -> tuple[int, ...]:
     """Entries left to right in each row, bottommost row first."""
-    return tuple(t.row_reading_entries())
+    return tuple(v for row in reversed(t.rows) for v in row)
 
 
 def col_word(t) -> tuple[int, ...]:
     """Entries top to bottom in each column, rightmost column first."""
-    return tuple(t.col_reading_entries())
+    return tuple(v for k in range(t.ncols, 0, -1) for v in t.column_entries(k))
 
 
 def content(w: Iterable[int]) -> WeakComposition:

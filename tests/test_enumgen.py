@@ -3,9 +3,9 @@ import itertools
 import pytest
 
 from conftest import LRC_EXAMPLE, RESHAPE_SIGMA, skew_shapes, ssc_oracle
-from skyline.enumgen import (_lr_counts, _skyline, count_lrc, enum_ct,
-                             enum_lrk, enum_lrs, enum_ssc, enum_ssk_shape,
-                             lrc_representatives, reshape)
+from skyline.enumgen import (_col_word, _lr_counts, _skyline, count_lrc,
+                             enum_ct, enum_lrk, enum_lrs, enum_ssc,
+                             enum_ssk_shape, lrc_representatives, reshape)
 from skyline.errors import NotContreLattice, NotRearrangement, SizeMismatch
 from skyline.contretab import ContreTableau, is_ct
 from skyline.fillings import BasementKind, Filling, SkewShape, is_ssk
@@ -98,11 +98,22 @@ def test_enum_ssk_content_filter_matches_postfilter():
 
 
 def test_enum_query_flags():
-    regular = list(enum_ssk_shape((2, 1), BasementKind.LARGE,
-                                  require_regular=True))
-    assert regular
-    assert regular == [f for f in enum_ssk_shape((2, 1), BasementKind.LARGE)
-                       if is_regular_contre_lattice(col_word(f))]
+    # the search grid's column word (require_regular) keeps the fillings
+    # that words.col_word keeps, and reads the same word
+    found = 0
+    for outer, inner, _ in skew_shapes(4, 3):
+        for kind in BasementKind:
+            regular = list(enum_ssk_shape(outer, kind, inner,
+                                          require_regular=True))
+            fillings = list(enum_ssk_shape(outer, kind, inner))
+            assert regular == [f for f in fillings
+                               if is_regular_contre_lattice(col_word(f))]
+            for f in fillings:
+                grid = [[0] * (g + 1) + list(row)
+                        for g, row in zip(inner, f.rows)]
+                assert _col_word(grid, inner, outer) == col_word(f)
+            found += len(regular)
+    assert found
 
 
 def test_enum_lrs(lrs_example):

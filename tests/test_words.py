@@ -8,12 +8,20 @@ from skyline.words import (col_word, column_sets, content, is_contre_lattice,
                            is_regular_contre_lattice, loose_word, row_word)
 
 
-def test_reading_words(ssk_large_skew_example, lrs_example, lrk_example):
+def test_reading_words(ssk_large_skew_example, lrs_example, lrk_example,
+                       ct_example, skew_ct_example, lr_ct_example):
     assert word_str(row_word(ssk_large_skew_example)) == "4212513"
     assert word_str(col_word(ssk_large_skew_example)) == "1254321"
     assert word_str(col_word(lrs_example)) == "3231321"
     assert word_str(row_word(lrs_example)) == "3332211"
     assert word_str(col_word(lrk_example)) == "3323121"
+    # contretableaux: the same orders, inner cells skipped
+    assert row_word(ct_example) == (1, 4, 2, 6, 4, 4, 1, 7, 7, 5, 2)
+    assert col_word(ct_example) == (2, 1, 5, 4, 7, 4, 2, 7, 6, 4, 1)
+    assert row_word(skew_ct_example) == (2, 5, 4, 7, 6, 8)
+    assert col_word(skew_ct_example) == (8, 6, 7, 4, 5, 2)
+    assert row_word(lr_ct_example) == (2, 3, 1, 3, 2, 3)
+    assert col_word(lr_ct_example) == (3, 2, 3, 1, 3, 2)
 
 
 def test_empty_words():
