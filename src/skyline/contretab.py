@@ -10,8 +10,22 @@ from typing import Sequence
 
 from .errors import InvalidFilling, InvalidShape, NoValidRow, NotSSK
 from .fillings import BasementKind, Filling, SkewShape, _render_grid, is_ssk
-from .shapes import Partition, WeakComposition, _as_ints
+from .shapes import Partition, WeakComposition, _as_ints, pad
 from .words import is_regular_contre_lattice, row_word
+
+
+def _skew_inner(outer: Partition, inner: Sequence[int]) -> WeakComposition:
+    """The inner shape of a skew shape outer/inner, padded with zeros to
+    len(outer), checked to weakly decrease and to lie inside outer."""
+    inner = WeakComposition(inner)
+    if len(inner) > len(outer):
+        raise InvalidShape(f"inner shape longer than outer: {tuple(inner)}")
+    inner = pad(inner, len(outer))
+    if any(a < b for a, b in zip(inner, inner[1:])):
+        raise InvalidShape(f"inner parts must weakly decrease: {tuple(inner)}")
+    if any(i > o for i, o in zip(inner, outer)):
+        raise InvalidShape(f"inner {tuple(inner)} not inside {tuple(outer)}")
+    return inner
 
 
 class ContreTableau:
@@ -27,15 +41,7 @@ class ContreTableau:
     def __init__(self, outer: Sequence[int], rows: Sequence[Sequence[int]],
                  inner: Sequence[int] = ()):
         self.outer = Partition(outer)
-        inner = tuple(inner)
-        inner = inner + (0,) * (len(self.outer) - len(inner))
-        if len(inner) > len(self.outer):
-            raise InvalidShape(f"inner shape longer than outer: {inner}")
-        if any(a < b for a, b in zip(inner, inner[1:])):
-            raise InvalidShape(f"inner parts must weakly decrease: {inner}")
-        self.inner = Partition(p for p in inner if p > 0)
-        if any(i > o for i, o in zip(inner, self.outer)):
-            raise InvalidShape(f"inner {inner} not inside {tuple(self.outer)}")
+        self.inner = Partition(p for p in _skew_inner(self.outer, inner) if p)
         try:
             self.rows = tuple(_as_ints(row) for row in rows)
         except (ValueError, OverflowError) as exc:
@@ -64,14 +70,6 @@ class ContreTableau:
     @property
     def size(self) -> int:
         return self.outer.size - self.inner.size
-
-    def value_at(self, r: int, c: int) -> int | None:
-        """Entry at (r, c), or None for inner/absent cells."""
-        if r < 1 or r > self.nrows or c < 1 or c > self.outer[r - 1]:
-            return None
-        if c <= self._inner_at(r):
-            return None
-        return self.rows[r - 1][c - self._inner_at(r) - 1]
 
     def column_entries(self, c: int) -> list[int]:
         return [self.rows[r - 1][c - self._inner_at(r) - 1]

@@ -4,11 +4,11 @@ construction that underlies the equivalence-class counts.
 
 All generators share one backtracking engine, `_search`, which uses an
 explicit stack, so no shape size meets the recursion limit.  It fills a
-grid row by row and chooses each row's length as it reaches the row;
-each generator only lays out, for a row of a given length, the cells
-that cap each entry and the triple checks that become decidable once a
-cell is placed.  Skyline fillings are placed in row reading order
-(bottom row first, left to right).  In that order every triple between
+grid row by row and chooses each row's length as it reaches the row.
+Every entry is capped by its left neighbour, so each generator only
+lays out, for a row of a given length, the triple checks that become
+decidable once a cell is placed.  Skyline fillings are placed in row
+reading order (bottom row first, left to right).  In that order every triple between
 a row and the rows below it is known once the row's length is chosen,
 and becomes checkable exactly when its last data cell is placed.  So
 with free row lengths one search finds the LR tableaux of every outer
@@ -24,9 +24,8 @@ from __future__ import annotations
 from itertools import compress
 from typing import Callable, Iterator, Sequence
 
-from .errors import (InvalidShape, NotContreLattice, NotRearrangement,
-                     SizeMismatch)
-from .contretab import ContreTableau
+from .errors import NotContreLattice, NotRearrangement, SizeMismatch
+from .contretab import ContreTableau, _skew_inner
 from .fillings import (BasementKind, Filling, SkewShape, basement_values,
                        is_inversion, is_ssk)
 from .shapes import Composition, Partition, WeakComposition, pad, placements
@@ -34,37 +33,37 @@ from .words import col_word, is_contre_lattice, is_regular_contre_lattice
 
 Cell = tuple[int, int]  # (row, column) index into the grid
 Triple = tuple[Cell, Cell, Cell]
-# a cell to fill: row, column, caps (row, column, offset) and triple checks
-Step = tuple[int, int, Sequence[tuple[int, int, int]], list[Triple]]
+# a cell to fill: row, column and the triples to check once it is placed
+Step = tuple[int, int, list[Triple]]
 # a row's layout: the triples to check once its length is chosen, and its cells
 Layout = tuple[Sequence[Triple], list[Step]]
 
 
 def _search(grid: list[list[int]], delta: list[int],
-            rows: Sequence[tuple[int, int, int, int]],
+            rows: Sequence[tuple[int, int]],
             layout: Callable[[int], Layout], size: int, n: int,
             content: Sequence[int] | None = None) -> Iterator[None]:
     """Place `size` entries in [1, n] in `grid`, row by row, in every way
     that respects the layouts and the exact content.  A content of None
     is a budget of `size` for every entry, which never runs out.
 
-    rows[d] = (i, lo, shortest, longest): the d-th row filled, row i,
-    holds delta[i] - lo cells, and the shortest - lo of them that every
-    length gives it are set aside for it from the start.  The search sets
-    delta[i] as it reaches the row, trying each length in [shortest,
-    longest] in increasing order; the last row takes every cell still
-    unplaced.  layout(i) then reads delta and returns (now, cells): the
-    triples to check at once, and the row's cells in the order they are
-    filled, each (i, k, caps, checks) for the grid cell (i, k).  A layout
-    depends only on the lengths chosen so far, so it is reused until the
-    row before it gives up its length.
+    rows[d] = (i, shortest): the d-th row filled is row i, which starts
+    with delta[i] cells already in place and is given at least `shortest`.
+    The search sets delta[i] as it reaches the row, trying each length
+    from shortest up to shortest plus the cells no row has claimed yet,
+    in increasing order; the last row takes every cell still unplaced.
+    layout(i) then reads delta and returns (now, cells): the triples to
+    check at once, and the row's cells in the order they are filled, each
+    (i, k, checks) for the grid cell (i, k).  A layout depends only on
+    the lengths chosen so far, so it is reused until the row before it
+    gives up its length.
 
-    The entry at cell (i, k) is at most grid[r][c] - offset for each
-    (r, c, offset) in caps, and every triple in checks, like those in
-    `now`, must be an inversion triple once it is placed.  The cells must
-    hold 0 on entry, and 0 marks a cell not yet placed.  Yields once per
-    complete assignment, with grid and delta holding it.  Candidate
-    entries are tried in descending order.
+    One cell rule: the entry at (i, k) is at most its left neighbour
+    grid[i][k - 1], and every triple in checks, like those in `now`, must
+    be an inversion triple once it is placed.  The cells must hold 0 on
+    entry, and 0 marks a cell not yet placed.  Yields once per complete
+    assignment, with grid and delta holding it.  Candidate entries are
+    tried in descending order.
     """
     if content is None:
         content = [size] * n
@@ -74,13 +73,13 @@ def _search(grid: list[list[int]], delta: list[int],
     n = len(budget)  # larger entries have no budget
     last = len(rows) - 1
     # The path: the depth d of a row, where its length is chosen, then one
-    # (i, k, caps, checks) per cell of that row.
+    # (i, k, checks) per cell of that row.
     steps: list = [0] if rows else []
     # memo[d]: row d's layouts by length, from when row d - 1 takes its
     # length until it gives it up; so memo[d + 1] exists iff row d has one
     memo: list[dict] = [{}]
     # cells not yet in a row with a length, past each row's shortest length
-    left = size - sum(shortest - lo for _, lo, shortest, _ in rows)
+    left = size - sum(shortest - delta[i] for i, shortest in rows)
     t = 0
     while t >= 0:
         if t == len(steps):
@@ -89,17 +88,16 @@ def _search(grid: list[list[int]], delta: list[int],
             continue
         step = steps[t]
         if step.__class__ is int:  # choose the length of the row at depth `step`
-            i, _, shortest, longest = rows[step]
+            i, shortest = rows[step]
             length = shortest
             del steps[t + 1:]
             if len(memo) > step + 1:  # back at this row: release its length
                 memo.pop()
                 left += delta[i] - shortest
                 length = delta[i] + 1
-            if longest > shortest + left:
-                longest = shortest + left
-            if step == last and length < shortest + left:
-                length = shortest + left
+            longest = shortest + left
+            if step == last and length < longest:
+                length = longest
             layouts = memo[step]
             while length <= longest:
                 delta[i] = length
@@ -122,16 +120,16 @@ def _search(grid: list[list[int]], delta: list[int],
             else:
                 t -= 1
             continue
-        i, k, caps, checks = step
+        i, k, checks = step
         row = grid[i]
         v = row[k]
         if v:  # back at cell t: release its entry and try the next lower one
             budget[v - 1] += 1
             v -= 1
         else:  # first visit since the cells before t changed
-            v = n
-            for r, c, offset in caps:
-                v = min(v, grid[r][c] - offset)
+            v = row[k - 1]
+            if v > n:
+                v = n
         while v > 0:
             if budget[v - 1]:
                 row[k] = v
@@ -151,9 +149,9 @@ def _search(grid: list[list[int]], delta: list[int],
 
 def _fixed(grid: list[list[int]], steps: list[Step], n: int,
            content: Sequence[int] | None) -> Iterator[None]:
-    """_search over a fixed list of (i, k, caps, checks) cells, taken as
-    one row whose length is forced."""
-    return _search(grid, [0], [(0, 0, len(steps), len(steps))],
+    """_search over a fixed list of (i, k, checks) cells, taken as one
+    row that starts empty and must take them all."""
+    return _search(grid, [0], [(0, len(steps))],
                    lambda _: ((), steps), len(steps), n, content)
 
 
@@ -174,10 +172,10 @@ def _skyline(inner: Sequence[int], basement: BasementKind, size: int,
     n = len(inner)
     top = n if outer is not None else max(n, len(content))
     bvals = basement_values(basement, top)[:n]
-    longest = [g + size for g in inner] if outer is None else outer
-    grid = [[bvals[i]] * (inner[i] + 1) + [0] * (longest[i] - inner[i])
-            for i in range(n)]
     delta = list(inner if outer is None else outer)
+    grid = [[bvals[i]] * (inner[i] + 1)
+            + [0] * (size if outer is None else delta[i] - inner[i])
+            for i in range(n)]
 
     def layout(i: int) -> Layout:
         # Each triple between row i and a row j below it is binned on its
@@ -201,15 +199,12 @@ def _skyline(inner: Sequence[int], basement: BasementKind, size: int,
                         checks[k - gi - 1].append(((j, k + 1), (i, k), (j, k)))
                     elif k >= gj:
                         now.append(((j, k + 1), (i, k), (j, k)))
-        # the left neighbor always exists: a data, inner or basement cell
-        return now, [(i, k, ((i, k - 1, 0),), checks[k - gi - 1])
-                     for k in range(gi + 1, di + 1)]
+        return now, [(i, k, checks[k - gi - 1]) for k in range(gi + 1, di + 1)]
 
     if outer is None:
         # bottom row first: in that order every triple is known once the
         # length of its upper row is chosen
-        rows = [(i, inner[i], max(inner[i], 1), longest[i])
-                for i in range(n - 1, -1, -1)]
+        rows = [(i, max(inner[i], 1)) for i in range(n - 1, -1, -1)]
         search = _search(grid, delta, rows, layout, size, top, content)
     else:
         # every length is known: lay all rows out at once, with each
@@ -219,7 +214,7 @@ def _skyline(inner: Sequence[int], basement: BasementKind, size: int,
         for i in range(n - 1, -1, -1):
             now, cells = layout(i)
             for tri in now:
-                steps[max(order[m] for m in tri if m in order)][3].append(tri)
+                steps[max(order[m] for m in tri if m in order)][2].append(tri)
             for cell in cells:
                 order[cell[:2]] = len(steps)
                 steps.append(cell)
@@ -368,26 +363,16 @@ def enum_ct(outer: Sequence[int], inner: Sequence[int] = (), *, n: int,
     Both shapes are checked up front, whether or not a tableau exists.
     """
     outer = Partition(outer)
-    inner = WeakComposition(inner)
-    if len(inner) > len(outer) or any(a < b for a, b in zip(inner, inner[1:])):
-        raise InvalidShape(f"inner {tuple(inner)} is not a partition of at "
-                           f"most {len(outer)} rows")
-    inner = inner + (0,) * (len(outer) - len(inner))
-    if any(i > o for i, o in zip(inner, outer)):
-        raise InvalidShape(f"inner {inner} not inside {tuple(outer)}")
+    inner = _skew_inner(outer, inner)
     nrows = len(outer)
-    grid = [[0] * (outer[r] + 1) for r in range(nrows)]  # col 0 unused
-    cells = [(r, c) for r in range(nrows)
-             for c in range(inner[r] + 1, outer[r] + 1)]
-    # capped by the data cell to the left and, strictly, by the one above
-    steps = []
-    for r, c in cells:
-        cap = []
-        if c > inner[r] + 1:
-            cap.append((r, c - 1, 0))
-        if r > 0 and inner[r - 1] < c <= outer[r - 1]:
-            cap.append((r - 1, c, 1))
-        steps.append((r, c, cap, []))
+    # Column 0 and the inner cells hold n + 1, above every entry, so the
+    # left neighbour caps an entry only when it is a data cell.  A cell
+    # below a data cell checks (above, cell, n + 1), an inversion triple
+    # exactly when the entry is below the one above it.
+    grid = [[n + 1] * (inner[r] + 1) + [0] * (outer[r] - inner[r])
+            for r in range(nrows)]
+    steps = [(r, c, [((r - 1, c), (r, c), (r, 0))] if r and c > inner[r - 1] else [])
+             for r in range(nrows) for c in range(inner[r] + 1, outer[r] + 1)]
     for _ in _fixed(grid, steps, n, content):
         yield ContreTableau(outer, [tuple(grid[r][inner[r] + 1:])
                                     for r in range(nrows)], inner)

@@ -238,23 +238,27 @@ def _skyline_table(gamma: Sequence[int], lam: Partition,
     the last ones.  The column word does not see empty rows either, and
     the search keeps the basement values above the entries in the same
     order, so each term is a count on the smaller shape alone.
+
+    At least len(lam) - len(parts) zero rows are kept, as a nonzero
+    coefficient needs at least len(lam) nonempty rows.  Every monomial of
+    s_lam has at least len(lam) nonzero exponents and every term of the
+    product is positive, so no monomial of the product has fewer.  The
+    basis element at delta leads with x^delta at coefficient 1, so a
+    nonzero coefficient puts x^delta in the product.
     """
     n = len(gamma)
     table: dict = {}
-    if len(lam) > n:  # an n-row search has no entry above n
-        return table
     content = reverse(lam)
     parts = [i for i, g in enumerate(gamma) if g]
     zeros = [i for i, g in enumerate(gamma) if not g]
-    most = min(len(zeros), lam.size)
+    fewest, most = max(len(lam) - len(parts), 0), min(len(zeros), lam.size)
     if basement is BasementKind.LARGE:
-        kept_sets = (kept for r in range(most + 1) for kept in combinations(zeros, r))
+        kept_sets = (kept for r in range(fewest, most + 1)
+                     for kept in combinations(zeros, r))
     else:
-        kept_sets = (zeros[:r] for r in range(most + 1))
+        kept_sets = (zeros[:r] for r in range(fewest, most + 1))
     for kept in kept_sets:
         rows = sorted(parts + list(kept))
-        if not rows:
-            continue
         for d, c in _counts(basement, tuple(gamma[i] for i in rows), content).items():
             delta = [0] * n
             for i, p in zip(rows, d):
@@ -273,13 +277,12 @@ def _qs_table(alpha: Composition, lam: Partition, n: int) -> dict:
     rows, the last rows, which _skyline_table's argument deletes.  So the
     table sums, over m, the counts on the placements of alpha in m rows,
     whose outer shapes with no empty row are the betas themselves.  Each
-    of the m - len(alpha) zero rows of a placement needs a cell.
+    of the m - len(alpha) zero rows of a placement needs a cell, and, by
+    _skyline_table's argument, m >= len(lam).
     """
     table: dict = {}
-    if len(lam) > n:  # as in _skyline_table
-        return table
     content = reverse(lam)
-    for m in range(max(len(alpha), 1), min(n, len(alpha) + lam.size) + 1):
+    for m in range(max(len(alpha), len(lam)), min(n, len(alpha) + lam.size) + 1):
         for gamma in placements(alpha, m):
             for beta, c in _counts(BasementKind.LARGE, gamma, content).items():
                 table[beta] = table.get(beta, 0) + c

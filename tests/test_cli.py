@@ -254,6 +254,8 @@ def test_compute_qs_many_parts(capsys):
     (["compute", "atom", "--shape", "", "--n", "-1"], None),
     (["expand", "qs", "--shape", "", "--lambda", "", "--n", "-1"], None),
     (["expand", "atoms", "--shape", "1,0", "--lambda", "2,1,0", "--n", "3"], None),
+    (["render"], '{"shape": [2, 1], "rows": [[1, 1], [1]], "inner": [0, -1]}'),
+    (["count", "ct", "--outer", "2,1", "--inner", "1,2", "--content", "1"], None),
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, argv, stdin):
     if stdin is not None:
@@ -266,6 +268,8 @@ def test_bad_input_is_a_usage_error(capsys, monkeypatch, argv, stdin):
         assert err == f"error: --n must be nonnegative, got {n}\n"
     if "2,1,0" in argv:  # --lambda takes a partition, and the error says so
         assert err == "error: partition parts must be positive: (2, 1, 0)\n"
+    if argv[:2] == ["count", "ct"] and "--inner" in argv:  # as ContreTableau says it
+        assert err == "error: inner parts must weakly decrease: (1, 2)\n"
 
 
 # -- the exit-code contract over small random command lines ---------------

@@ -63,6 +63,13 @@ def test_enum_ssk_complete_against_brute_force():
                 assert set(got) == {f for f in brute if f.weight() == c}
 
 
+def _decreasing(tableaux):
+    # the yield order: decreasing on the entries read top row first, left
+    # to right, the order in which enum_ct fills the cells
+    words = [[v for row in t.rows for v in row] for t in tableaux]
+    return all(a > b for a, b in zip(words, words[1:]))
+
+
 def test_enum_ct_complete_against_brute_force():
     for size in range(0, 6):
         for nu in partitions(size):
@@ -78,10 +85,12 @@ def test_enum_ct_complete_against_brute_force():
                                  if is_ct(t)]
                         got = list(enum_ct(nu, mu, n=n))
                         assert len(got) == len(set(got))
+                        assert _decreasing(got)
                         assert set(got) == set(brute)
                         for c in weak_compositions(sum(lengths), n):
                             got = list(enum_ct(nu, mu, n=n, content=c))
                             assert len(got) == len(set(got))
+                            assert _decreasing(got)
                             assert set(got) == {
                                 t for t in brute
                                 if tuple(sum(r.count(v) for r in t.rows)
@@ -159,6 +168,20 @@ def test_free_search_fills_every_row():
     assert [grid[0][1:] for grid, _ in
             _skyline((0,), BasementKind.LARGE, 3, (1, 1, 1))] == [[3, 2, 1]]
     assert _lr_counts((0,), BasementKind.LARGE, (1, 1, 1)) == {}
+
+
+def test_fewer_rows_than_lam_has_parts_count_nothing():
+    # a nonzero coefficient needs at least len(lam) nonempty rows, so the
+    # LR tables search no inner shape with fewer rows than that
+    cases = 0
+    for m in range(1, 4):
+        for inner in (g for s in range(5) for g in weak_compositions(s, m)):
+            for lam in (p for s in range(1, 6) for p in partitions(s) if len(p) > m):
+                for kind in (BasementKind.LARGE, BasementKind.SHIFTED):
+                    assert _lr_counts(inner, kind, tuple(reversed(lam))) == {}, \
+                        (inner, lam, kind)
+                    cases += 1
+    assert cases == 550
 
 
 def test_enum_lrk_partition_shapes_are_skew_ct():
