@@ -21,10 +21,11 @@ dropped, so they come from the same skyline search.
 
 from __future__ import annotations
 
+import sys
 from itertools import compress
 from typing import Callable, Iterator, Sequence
 
-from .errors import NotContreLattice, NotRearrangement, SizeMismatch
+from .errors import InvalidShape, NotContreLattice, NotRearrangement, SizeMismatch
 from .contretab import ContreTableau, _skew_inner
 from .fillings import (BasementKind, Filling, SkewShape, basement_values,
                        is_inversion, is_ssk)
@@ -39,13 +40,17 @@ Step = tuple[int, int, list[Triple]]
 Layout = tuple[Sequence[Triple], list[Step]]
 
 
-def _search(grid: list[list[int]], delta: list[int],
+def _search(heads: Sequence[tuple[int, int, int]], delta: list[int],
             rows: Sequence[tuple[int, int]],
             layout: Callable[[int], Layout], size: int, n: int,
-            content: Sequence[int] | None = None) -> Iterator[None]:
-    """Place `size` entries in [1, n] in `grid`, row by row, in every way
+            content: Sequence[int] | None = None) -> Iterator[list[list[int]]]:
+    """Place `size` entries in [1, n] in a grid, row by row, in every way
     that respects the layouts and the exact content.  A content of None
     is a budget of `size` for every entry, which never runs out.
+
+    heads[i] = (b, g, w): grid row i holds b in its first g + 1 cells and
+    has w cells to place.  The grid is built only if the content sums to
+    `size` and, with no rows, `size` is 0; else nothing is yielded.
 
     rows[d] = (i, shortest): the d-th row filled is row i, which starts
     with delta[i] cells already in place and is given at least `shortest`.
@@ -60,16 +65,16 @@ def _search(grid: list[list[int]], delta: list[int],
 
     One cell rule: the entry at (i, k) is at most its left neighbour
     grid[i][k - 1], and every triple in checks, like those in `now`, must
-    be an inversion triple once it is placed.  The cells must hold 0 on
-    entry, and 0 marks a cell not yet placed.  Yields once per complete
-    assignment, with grid and delta holding it.  Candidate entries are
-    tried in descending order.
+    be an inversion triple once it is placed.  0 marks a cell not yet
+    placed.  Yields the grid once per complete assignment, with grid and
+    delta holding it.  Candidate entries are tried in descending order.
     """
-    if content is None:
-        content = [size] * n
-    elif sum(content) != size:
+    if any(g + w >= sys.maxsize for _, g, w in heads):
+        raise InvalidShape(f"a row cannot have more than {sys.maxsize - 1} cells")
+    if (content is not None and sum(content) != size) or (size and not rows):
         return
-    budget = list(content)[:n]
+    grid = [[b] * (g + 1) + [0] * w for b, g, w in heads]
+    budget = [size] * n if content is None else list(content)[:n]
     n = len(budget)  # larger entries have no budget
     last = len(rows) - 1
     # The path: the depth d of a row, where its length is chosen, then one
@@ -83,7 +88,7 @@ def _search(grid: list[list[int]], delta: list[int],
     t = 0
     while t >= 0:
         if t == len(steps):
-            yield
+            yield grid
             t -= 1
             continue
         step = steps[t]
@@ -147,12 +152,12 @@ def _search(grid: list[list[int]], delta: list[int],
             t -= 1
 
 
-def _fixed(grid: list[list[int]], steps: list[Step], n: int,
-           content: Sequence[int] | None) -> Iterator[None]:
-    """_search over a fixed list of (i, k, checks) cells, taken as one
-    row that starts empty and must take them all."""
-    return _search(grid, [0], [(0, len(steps))],
-                   lambda _: ((), steps), len(steps), n, content)
+def _fixed(heads: Sequence[tuple[int, int, int]], cells: Iterator[Step],
+           size: int, n: int, content: Sequence[int] | None
+           ) -> Iterator[list[list[int]]]:
+    """_search over the `size` (i, k, checks) cells, taken as one row that
+    starts empty and must take them all, read once the grid is built."""
+    return _search(heads, [0], [(0, size)], lambda _: ((), cells), size, n, content)
 
 
 def _skyline(inner: Sequence[int], basement: BasementKind, size: int,
@@ -173,9 +178,8 @@ def _skyline(inner: Sequence[int], basement: BasementKind, size: int,
     top = n if outer is not None else max(n, len(content))
     bvals = basement_values(basement, top)[:n]
     delta = list(inner if outer is None else outer)
-    grid = [[bvals[i]] * (inner[i] + 1)
-            + [0] * (size if outer is None else delta[i] - inner[i])
-            for i in range(n)]
+    heads = [(bvals[i], inner[i], size if outer is None else delta[i] - inner[i])
+             for i in range(n)]
 
     def layout(i: int) -> Layout:
         # Each triple between row i and a row j below it is binned on its
@@ -201,12 +205,7 @@ def _skyline(inner: Sequence[int], basement: BasementKind, size: int,
                         now.append(((j, k + 1), (i, k), (j, k)))
         return now, [(i, k, checks[k - gi - 1]) for k in range(gi + 1, di + 1)]
 
-    if outer is None:
-        # bottom row first: in that order every triple is known once the
-        # length of its upper row is chosen
-        rows = [(i, max(inner[i], 1)) for i in range(n - 1, -1, -1)]
-        search = _search(grid, delta, rows, layout, size, top, content)
-    else:
+    def fixed_cells() -> Iterator[Step]:
         # every length is known: lay all rows out at once, with each
         # triple checked at its last data cell in fill order
         steps: list[Step] = []
@@ -218,8 +217,16 @@ def _skyline(inner: Sequence[int], basement: BasementKind, size: int,
             for cell in cells:
                 order[cell[:2]] = len(steps)
                 steps.append(cell)
-        search = _fixed(grid, steps, n, content)
-    for _ in search:
+        yield from steps
+
+    if outer is None:
+        # bottom row first: in that order every triple is known once the
+        # length of its upper row is chosen
+        rows = [(i, max(inner[i], 1)) for i in range(n - 1, -1, -1)]
+        search = _search(heads, delta, rows, layout, size, top, content)
+    else:
+        search = _fixed(heads, fixed_cells(), size, n, content)
+    for grid in search:
         yield grid, delta
 
 
@@ -369,11 +376,10 @@ def enum_ct(outer: Sequence[int], inner: Sequence[int] = (), *, n: int,
     # left neighbour caps an entry only when it is a data cell.  A cell
     # below a data cell checks (above, cell, n + 1), an inversion triple
     # exactly when the entry is below the one above it.
-    grid = [[n + 1] * (inner[r] + 1) + [0] * (outer[r] - inner[r])
-            for r in range(nrows)]
-    steps = [(r, c, [((r - 1, c), (r, c), (r, 0))] if r and c > inner[r - 1] else [])
-             for r in range(nrows) for c in range(inner[r] + 1, outer[r] + 1)]
-    for _ in _fixed(grid, steps, n, content):
+    heads = [(n + 1, inner[r], outer[r] - inner[r]) for r in range(nrows)]
+    cells = ((r, c, [((r - 1, c), (r, c), (r, 0))] if r and c > inner[r - 1] else [])
+             for r in range(nrows) for c in range(inner[r] + 1, outer[r] + 1))
+    for grid in _fixed(heads, cells, outer.size - inner.size, n, content):
         yield ContreTableau(outer, [tuple(grid[r][inner[r] + 1:])
                                     for r in range(nrows)], inner)
 

@@ -8,9 +8,9 @@ count the outer shapes with no empty row, one search per inner shape and
 content, kept in the query memo with no n in the key.  An atom or
 character table sums those counts over the zero rows that stay empty,
 and a QS table over the placements of its index in m rows for each m,
-so the QS rule reads the atom rule's searches.  The per-shape counts
-coeff_a, coeff_b and coeff_qs stay public, and the tests use them as the
-oracle for the tables.
+so the QS rule reads the atom rule's searches.  The coefficients coeff_a,
+coeff_b, coeff_qs and coeff_classical are read from these verified tables,
+which the memo holds until clear_caches empties it.
 
 The consistency identity rests on the character decomposition into
 atoms, kappa_g = sum of atoms over weak compositions weakly above g in
@@ -27,12 +27,11 @@ from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import NotInSpan, ShapeMismatch, SizeMismatch
-from .contretab import is_lr_skew_ct
-from .enumgen import _lr_counts, count_lrc, enum_ct, enum_lrk, enum_lrs
+from .enumgen import _lr_counts
 from .fillings import BasementKind
 from .poly import _caches, _peel, atom_poly, char_poly, qs_poly, schur_poly
 from .shapes import (Composition, Partition, WeakComposition, comp_bruhat_geq,
-                     compositions, partition_of, partitions, placements,
+                     compositions, pad, partition_of, partitions, placements,
                      rearrangements, reverse, strongof, weak_compositions)
 
 
@@ -40,11 +39,11 @@ from .shapes import (Composition, Partition, WeakComposition, comp_bruhat_geq,
 # coefficients
 
 
-def _skyline_lr_args(gamma: Sequence[int], lam: Sequence[int],
-                     delta: Sequence[int]
-                     ) -> tuple[WeakComposition, Partition, WeakComposition]:
-    """Validate the arguments of the atom and character rules: delta
-    contains gamma, both of one length, and |delta| - |gamma| = |lam|."""
+def _skyline_coeff(label: str, gamma: Sequence[int], lam: Sequence[int],
+                   delta: Sequence[int]) -> int:
+    """The coefficient at delta in the verified table of the atom ("A") or
+    character ("k") rule, after checking that delta contains gamma, both
+    of one length, and |delta| - |gamma| = |lam|; 0 when lam is empty."""
     gamma, lam, delta = WeakComposition(gamma), Partition(lam), WeakComposition(delta)
     if len(delta) != len(gamma):
         raise ShapeMismatch(f"lengths differ: {tuple(gamma)} vs {tuple(delta)}")
@@ -53,53 +52,48 @@ def _skyline_lr_args(gamma: Sequence[int], lam: Sequence[int],
     if delta.size - gamma.size != lam.size:
         raise ShapeMismatch(
             f"|delta|-|gamma| = {delta.size - gamma.size} != |lam| = {lam.size}")
-    return gamma, lam, delta
+    if lam.size == 0:
+        return 0
+    return _lr_table(label, gamma, lam, len(gamma)).get(delta, 0)
 
 
 def coeff_a(gamma: Sequence[int], lam: Sequence[int], delta: Sequence[int]) -> int:
     """Atom rule coefficient: LR skyline tableaux of shape delta/gamma with
-    content reverse(lam)."""
-    gamma, lam, delta = _skyline_lr_args(gamma, lam, delta)
-    if lam.size == 0:
-        return 0
-    return sum(1 for _ in enum_lrs(delta, gamma, reverse(lam)))
+    content reverse(lam), from the verified table, memoized until clear_caches."""
+    return _skyline_coeff("A", gamma, lam, delta)
 
 
 def coeff_b(gamma: Sequence[int], lam: Sequence[int], delta: Sequence[int]) -> int:
     """Character rule coefficient: LR skew keys of shape delta*/gamma* with
-    content reverse(lam)."""
-    gamma, lam, delta = _skyline_lr_args(gamma, lam, delta)
-    if lam.size == 0:
-        return 0
-    return sum(1 for _ in enum_lrk(reverse(delta), reverse(gamma), reverse(lam)))
+    content reverse(lam), from the verified table, memoized until clear_caches."""
+    return _skyline_coeff("k", gamma, lam, delta)
 
 
 def coeff_qs(alpha: Sequence[int], lam: Sequence[int], beta: Sequence[int]) -> int:
     """Quasisymmetric rule coefficient: LR equivalence classes of shape
-    beta/alpha with content reverse(lam)."""
+    beta/alpha with content reverse(lam), from the verified table in
+    len(alpha) + |lam| variables, memoized until clear_caches."""
     alpha, lam, beta = Composition(alpha), Partition(lam), Composition(beta)
     if beta.size != alpha.size + lam.size:
         raise SizeMismatch(
             f"|beta| = {beta.size} != |alpha|+|lam| = {alpha.size + lam.size}")
     if lam.size == 0:
         return 0
-    return count_lrc(beta, alpha, reverse(lam))
+    return _lr_table("S", alpha, lam, len(alpha) + lam.size).get(beta, 0)
 
 
 def coeff_classical(mu: Sequence[int], lam: Sequence[int], nu: Sequence[int]) -> int:
-    """Classical LR coefficient: LR skew contretableaux of shape nu/mu with
-    content reverse(lam), counted by brute force."""
+    """Classical LR coefficient: the character rule at mu and nu reversed
+    and padded to max(len(nu), len(lam), 1) parts, the paper's
+    specialization, from the verified table, memoized until clear_caches."""
     mu, lam, nu = Partition(mu), Partition(lam), Partition(nu)
     if len(mu) > len(nu) or any(m > v for m, v in zip(mu, nu)):
         raise ShapeMismatch(f"{tuple(mu)} not contained in {tuple(nu)}")
     if nu.size != mu.size + lam.size:
         raise ShapeMismatch(
             f"|nu| = {nu.size} != |mu|+|lam| = {mu.size + lam.size}")
-    if lam.size == 0:
-        return 0
-    r = len(lam)
-    return sum(1 for t in enum_ct(nu, mu, n=r, content=reverse(lam))
-               if is_lr_skew_ct(t))
+    n = max(len(nu), len(lam), 1)
+    return _skyline_coeff("k", reverse(pad(mu, n)), lam, reverse(pad(nu, n)))
 
 
 def pieri_single_box(kind: str, shape: Sequence[int]) -> list:

@@ -233,6 +233,9 @@ def test_compute_qs_many_parts(capsys):
     assert out.strip() == "*".join(f"x{i}" for i in range(1, 1101))
 
 
+HUGE = "99999999999999999999"  # larger than sys.maxsize
+
+
 @pytest.mark.parametrize("argv, stdin", [
     (["count", "lrs", "--outer", "a,b", "--inner", "0,0", "--content", "1"], None),
     (["compute", "schur", "--shape", "1,2", "--n", "2"], None),
@@ -256,6 +259,13 @@ def test_compute_qs_many_parts(capsys):
     (["expand", "atoms", "--shape", "1,0", "--lambda", "2,1,0", "--n", "3"], None),
     (["render"], '{"shape": [2, 1], "rows": [[1, 1], [1]], "inner": [0, -1]}'),
     (["count", "ct", "--outer", "2,1", "--inner", "1,2", "--content", "1"], None),
+    # a part too large to index a row, whatever the content
+    (["count", "lrs", "--outer", HUGE, "--content", "1"], None),
+    (["count", "lrk", "--outer", HUGE, "--content", "1"], None),
+    (["count", "ct", "--outer", HUGE, "--content", "1"], None),
+    (["count", "lrs", "--outer", HUGE, "--inner", str(int(HUGE) - 1),
+      "--content", "1"], None),
+    (["expand", "atoms", "--shape", HUGE, "--lambda", "1", "--n", "1"], None),
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, argv, stdin):
     if stdin is not None:
@@ -270,6 +280,8 @@ def test_bad_input_is_a_usage_error(capsys, monkeypatch, argv, stdin):
         assert err == "error: partition parts must be positive: (2, 1, 0)\n"
     if argv[:2] == ["count", "ct"] and "--inner" in argv:  # as ContreTableau says it
         assert err == "error: inner parts must weakly decrease: (1, 2)\n"
+    if HUGE in argv:
+        assert err.startswith("error: a row cannot have more than ")
 
 
 # -- the exit-code contract over small random command lines ---------------

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -143,9 +144,10 @@ def test_enum_lrk(lrk_example):
 def test_free_search_fills_every_row():
     # the table search yields every outer shape with no empty row at once,
     # with entries up to the content's length whatever the number of rows:
-    # the fillings of each such shape padded with empty rows to that length
+    # the fillings of each such shape padded with empty rows to that length.
+    # With no rows (m = 0) there is no such shape, and nothing to yield.
     kinds = (BasementKind.LARGE, BasementKind.SHIFTED)
-    for m in range(1, 4):
+    for m in range(4):
         for inner in (g for s in range(3) for g in weak_compositions(s, m)):
             for size in range(1, 4):
                 for content in (c for r in range(1, 5)
@@ -168,6 +170,20 @@ def test_free_search_fills_every_row():
     assert [grid[0][1:] for grid, _ in
             _skyline((0,), BasementKind.LARGE, 3, (1, 1, 1))] == [[3, 2, 1]]
     assert _lr_counts((0,), BasementKind.LARGE, (1, 1, 1)) == {}
+
+
+def test_content_of_another_size_lays_nothing_out():
+    # 100,000 cells and one entry: the count is 0 before any grid is built
+    for enum in (lambda: enum_lrs((100000,), (0,), (1,)),
+                 lambda: enum_lrk((100000,), (0,), (1,)),
+                 lambda: enum_ct((100000,), n=1, content=(1,))):
+        tracemalloc.start()
+        try:
+            assert list(enum()) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 def test_fewer_rows_than_lam_has_parts_count_nothing():

@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from conftest import consistency_oracle
+from conftest import (coeff_a_oracle, coeff_b_oracle, coeff_classical_oracle,
+                      coeff_qs_oracle, consistency_oracle)
 from skyline import lrrules, poly
 from skyline.cli import main
 from skyline.errors import ShapeMismatch, SizeMismatch
@@ -115,8 +116,11 @@ def test_coeff_classical_equals_char_specialization():
                         continue
                     for lam in partitions(nsize - msize):
                         n = max(len(nu), len(lam), 1)
+                        # the library's table, the brute-force count and
+                        # the skew keys at the specialization all agree
                         assert coeff_classical(mu, lam, nu) == \
-                            coeff_b(reverse(pad(mu, n)), lam, reverse(pad(nu, n)))
+                            coeff_classical_oracle(mu, lam, nu) == \
+                            coeff_b_oracle(reverse(pad(mu, n)), lam, reverse(pad(nu, n)))
 
 
 def test_pieri_single_box_atoms():
@@ -167,7 +171,7 @@ def test_qs_rectangle_expansion_matches_classical():
     assert dict(r.enumerated) == {(3, 2): 1, (2, 3): 1, (2, 2, 1): 1,
                                   (2, 1, 2): 1, (1, 2, 2): 1}
     for beta, c in r.enumerated.items():
-        assert c == coeff_classical((2, 2), (1,), partition_of(beta))
+        assert c == coeff_classical_oracle((2, 2), (1,), partition_of(beta))
 
 
 def test_verify_consistency_samples():
@@ -189,26 +193,12 @@ def test_consistency_matches_direct_sums():
         assert verify_consistency_identity(*inst) == consistency_oracle(*inst)
 
 
-def test_lr_tables_match_coefficients():
-    # tables filled by sweeps equal one coefficient call per outer shape
-    clear_caches()
-    sweep("atoms", 3, 3, 2)
-    sweep("chars", 3, 3, 2)
-    for gamma, lam, n in iter_atom_instances(3, 3, 2):
-        if lam.size == 0:
-            continue
-        for label, coeff in (("A", coeff_a), ("k", coeff_b)):
-            assert _lr_table(label, gamma, lam, n) == {
-                d: c for d in _outer_candidates(gamma, lam.size)
-                if (c := coeff(gamma, lam, d))}
-
-
-# basis letter -> (coefficient, the outer shapes the rule ranges over)
+# basis letter -> (coefficient oracle, the outer shapes the rule ranges over)
 COEFFICIENTS = {
-    "A": (coeff_a, lambda g, lam, n: _outer_candidates(g, lam.size)),
-    "k": (coeff_b, lambda g, lam, n: _outer_candidates(g, lam.size)),
-    "S": (coeff_qs, lambda a, lam, n: (b for b in compositions(a.size + lam.size)
-                                       if len(b) <= n)),
+    "A": (coeff_a_oracle, lambda g, lam, n: _outer_candidates(g, lam.size)),
+    "k": (coeff_b_oracle, lambda g, lam, n: _outer_candidates(g, lam.size)),
+    "S": (coeff_qs_oracle, lambda a, lam, n: (b for b in compositions(a.size + lam.size)
+                                              if len(b) <= n)),
 }
 
 
@@ -225,13 +215,14 @@ def test_tables_match_one_coefficient_per_outer_shape(label, instances,
                 for shape, lam, n in instances(4, 4, 3)}
     for case, table in expected.items():
         assert _lr_table(label, *case) == table, case
-    if label == "S":
-        # read from the atom tables of an atom sweep, with no search left
-        clear_caches()
-        sweep("atoms", 4, 4, 3)
-        monkeypatch.setattr(lrrules, "_lr_counts", None)
-        for case, table in expected.items():
-            assert _lr_table(label, *case) == table, case
+    # warm: read from the memo that the atom and character sweeps filled,
+    # the S tables from the atom sweep's counts, with no search left
+    clear_caches()
+    sweep("atoms", 4, 4, 3)
+    sweep("chars", 4, 4, 3)
+    monkeypatch.setattr(lrrules, "_lr_counts", None)
+    for case, table in expected.items():
+        assert _lr_table(label, *case) == table, case
 
 
 def _past_four_rows(label):
