@@ -74,29 +74,27 @@ def _cmd_verify(args) -> int:
               "exhaustive sweeps grow quickly", file=sys.stderr)
     suites = (["atoms", "chars", "qs", "consistency"]
               if args.suite == "all" else [args.suite])
-    results = []
-    for suite in suites:
-        results.extend(sweep(suite, **bounds))
-    clear_caches()  # the memo is not needed while the output is built
-    failures = [r for r in results if not r[1]]
+    # Each result is written as its suite yields it, and only the counts are
+    # kept; --json writes the items byte for byte as json.dumps of the list.
+    write = sys.stdout.write
     if args.json:
-        # Written item by item, byte for byte as json.dumps of the whole
-        # list, so that neither the list of dicts nor the output is built.
-        write = sys.stdout.write
         write("[")
-        for j, (label, ok, detail) in enumerate(results):
-            if j:
-                write(", ")
-            write(json.dumps({"instance": label, "ok": ok, "detail": detail}))
-        write("]\n")
-    else:
-        for label, ok, detail in results:
-            line = f"{'PASS' if ok else 'FAIL'} {label}"
-            if detail and not ok:
-                line += f" ({detail})"
-            print(line)
-        print(f"{len(results) - len(failures)}/{len(results)} instances passed")
-    return 1 if failures else 0
+    passed = total = 0
+    for suite in suites:
+        for label, ok, detail in sweep(suite, **bounds):
+            if args.json:
+                write(", " if total else "")
+                write(json.dumps({"instance": label, "ok": ok, "detail": detail}))
+            else:
+                line = f"{'PASS' if ok else 'FAIL'} {label}"
+                if detail and not ok:
+                    line += f" ({detail})"
+                write(line + "\n")
+            passed += ok
+            total += 1
+    clear_caches()  # the memo is not needed for the last line
+    write("]\n" if args.json else f"{passed}/{total} instances passed\n")
+    return 0 if passed == total else 1
 
 
 def _cmd_render(args) -> int:

@@ -234,8 +234,10 @@ def _col_word(grid: list[list[int]], inner: Sequence[int],
               delta: Sequence[int]) -> tuple[int, ...]:
     """The column word of the filling in `grid`, in the order of
     `words.col_word` (data entries top to bottom in each column, rightmost
-    column first), read without building the Filling."""
-    return tuple(grid[i][k] for k in range(max(delta, default=0), 0, -1)
+    column first), read without building the Filling.  The columns up to
+    min(inner) hold only inner cells, so the walk stops above them."""
+    return tuple(grid[i][k]
+                 for k in range(max(delta, default=0), min(inner, default=0), -1)
                  for i in range(len(delta)) if inner[i] < k <= delta[i])
 
 

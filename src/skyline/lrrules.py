@@ -451,15 +451,16 @@ _SUITES = {
 
 
 def sweep(suite: str, max_n: int, max_size: int, max_lambda: int
-          ) -> list[tuple[str, bool, str | None]]:
-    """Run one verification suite; returns (instance label, ok, detail)
-    triples in deterministic order."""
+          ) -> Iterator[tuple[str, bool, str | None]]:
+    """Run one verification suite, yielding (instance label, ok, detail)
+    as each instance is checked, in deterministic order; an unknown suite
+    raises ValueError at once.  No result is kept; the memo keeps the
+    tables, atoms and characters, and of each QS index only its first
+    placement, until clear_caches."""
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     instances, fields, check = _SUITES[suite]
-    results = []
-    for inst in instances(max_n, max_size, max_lambda):
-        label = " ".join([suite] + [f"{name}={_fmt(x)}"
-                                    for name, x in zip(fields, inst)])
-        results.append((label, *_outcome(check(*inst))))
-    return results
+    return ((" ".join([suite] + [f"{name}={_fmt(x)}"
+                                 for name, x in zip(fields, inst)]),
+             *_outcome(check(*inst)))
+            for inst in instances(max_n, max_size, max_lambda))

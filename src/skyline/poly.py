@@ -4,7 +4,10 @@ characters, and quasisymmetric Schur polynomials.
 
 Atoms and characters come from the Demazure operators (isobaric divided
 differences), Schur polynomials are the characters at increasing indices,
-and quasisymmetric Schur polynomials are sums of atoms.  No tableau is
+and quasisymmetric Schur polynomials are sums of atoms.  The Demazure
+memo keeps the operator chains of the atoms and characters asked for,
+and of each QS index only that of its first placement: a peel asks for
+each QS index once, so no other placement outlives its call.  No tableau is
 enumerated here: the skyline-filling and contretableau enumerators, which
 count the LR coefficients, serve as the test oracle for these
 polynomials, so each LR rule is checked against an independent
@@ -333,7 +336,8 @@ def _demazure(g: tuple[int, ...], atom: bool) -> Polynomial:
     with the largest g_{i+1} (the first such) keeps the intermediate
     polynomials small, where the first ascent can build one of 132,802
     terms on the way to the monomial A_(0,1,...,9).  The chain is walked
-    iteratively, so no index meets the recursion limit.
+    iteratively, so no index meets the recursion limit.  Every index on
+    it is memoized; `qs_poly` asks here only for its first placement.
     """
     chain = []
     while (g, atom) not in _demazure_cache:
@@ -378,14 +382,28 @@ def char_poly(g: Sequence[int], n: int) -> Polynomial:
 
 def qs_poly(a: Sequence[int], n: int) -> Polynomial:
     """Quasisymmetric Schur polynomial: the sum of atoms over all length-n
-    weak compositions flattening to a."""
+    weak compositions flattening to a.
+
+    The first placement, a padded with zeros, comes from `_demazure`,
+    which memoizes its chain.  Every later placement g has a first i with
+    g_i = 0 < g_{i+1}, and s_i g is an earlier placement, so A_g =
+    pi-bar_i A_{s_i g} is one step from an atom at hand.  Those atoms are
+    read from the memo when it has them, and otherwise live only as long
+    as this call: the memo gains no placement but the first."""
     a = Composition(a)
     if len(a) > n:
         raise TooManyParts(f"composition {tuple(a)} has more than {n} parts")
     keys: dict[int, int] = {}
     get = keys.get
+    atoms: dict[tuple[int, ...], Polynomial] = {}
     for g in placements(a, n):
-        for k, c in atom_poly(g, n)._keys.items():
+        p = _demazure_cache.get((g, True))
+        if p is None:
+            i = next((i for i in range(n - 1) if g[i] == 0 < g[i + 1]), None)
+            p = (_demazure(tuple(g), True) if i is None else
+                 _isobaric(atoms[g[:i] + (g[i + 1], 0) + g[i + 2:]], i, True))
+        atoms[g] = p
+        for k, c in p._keys.items():
             keys[k] = get(k, 0) + c  # atoms are positive: no term cancels
     return Polynomial._trusted(n, _width(a.size), keys)
 

@@ -90,7 +90,7 @@ def test_criterion_4_single_box_removal():
 def test_criterion_5_atom_rule_sweep():
     with criterion(5, "atom rule sweep (n<=3, |shape|<=3, |lambda|<=2) plus "
                       "the size-8 by (3,2,2) instance at n=5", budget=300.0):
-        results = sweep("atoms", max_n=3, max_size=3, max_lambda=2)
+        results = list(sweep("atoms", max_n=3, max_size=3, max_lambda=2))
         assert results and all(ok for _, ok, _ in results)
         big = verify_atom_theorem((2, 0, 3, 1, 2), (3, 2, 2), 5)
         assert big.ok
@@ -101,7 +101,7 @@ def test_criterion_6_qs_and_char_rule_sweeps():
     with criterion(6, "quasisymmetric and character rule sweeps plus the "
                       "interval consistency identity", budget=600.0):
         for suite in ("qs", "chars", "consistency"):
-            results = sweep(suite, max_n=3, max_size=3, max_lambda=2)
+            results = list(sweep(suite, max_n=3, max_size=3, max_lambda=2))
             assert results and all(ok for _, ok, _ in results)
         big = verify_qs_theorem((3, 2, 1), (3, 2, 1), 6)
         assert big.ok

@@ -133,6 +133,26 @@ def test_verify_deterministic(capsys):
     assert first == second
 
 
+def test_verify_streams_each_result(monkeypatch):
+    # each result is written as soon as it is checked, not after the suite
+    import skyline.lrrules as lrrules
+
+    out = io.StringIO()
+    seen = []
+    check = lrrules.verify_atom_theorem
+
+    def recording(*inst):
+        seen.append(out.getvalue())
+        return check(*inst)
+
+    monkeypatch.setattr(lrrules, "verify_atom_theorem", recording)
+    monkeypatch.setattr("sys.stdout", out)
+    assert main(["verify", "atoms", "--max-n", "2", "--max-size", "2",
+                 "--max-lambda", "1"]) == 0
+    assert seen[0] == "" and seen[1].startswith("PASS atoms ")
+    assert seen[1] == out.getvalue().splitlines(keepends=True)[0]
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     import skyline.cli as cli
 

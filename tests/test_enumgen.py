@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 
 import pytest
@@ -184,6 +185,14 @@ def test_content_of_another_size_lays_nothing_out():
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+
+def test_column_word_skips_inner_columns():
+    # one data cell right of 10^7 inner cells: the columns up to min(inner)
+    # hold no data, so the walk does not visit them
+    start = time.perf_counter()
+    assert _col_word([{10**7 + 1: 1}], (10**7,), (10**7 + 1,)) == (1,)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_fewer_rows_than_lam_has_parts_count_nothing():

@@ -187,8 +187,8 @@ def test_consistency_matches_direct_sums():
     for inst in instances:
         assert verify_consistency_identity(*inst) == consistency_oracle(*inst)
     clear_caches()
-    sweep("atoms", 3, 3, 2)
-    sweep("chars", 3, 3, 2)
+    list(sweep("atoms", 3, 3, 2))
+    list(sweep("chars", 3, 3, 2))
     for inst in instances:
         assert verify_consistency_identity(*inst) == consistency_oracle(*inst)
 
@@ -218,8 +218,8 @@ def test_tables_match_one_coefficient_per_outer_shape(label, instances,
     # warm: read from the memo that the atom and character sweeps filled,
     # the S tables from the atom sweep's counts, with no search left
     clear_caches()
-    sweep("atoms", 4, 4, 3)
-    sweep("chars", 4, 4, 3)
+    list(sweep("atoms", 4, 4, 3))
+    list(sweep("chars", 4, 4, 3))
     monkeypatch.setattr(lrrules, "_lr_counts", None)
     for case, table in expected.items():
         assert _lr_table(label, *case) == table, case
@@ -279,7 +279,7 @@ def test_bruhat_intervals_match_pairwise():
 
 def test_clear_caches_starts_cold():
     def run():
-        return sweep("chars", 2, 2, 1) + sweep("consistency", 2, 2, 1)
+        return list(sweep("chars", 2, 2, 1)) + list(sweep("consistency", 2, 2, 1))
     clear_caches()
     first = run()
     assert lrrules._memo and poly._demazure_cache
@@ -297,8 +297,8 @@ def test_report_json():
 
 
 def test_sweep_runner_deterministic():
-    once = sweep("atoms", 2, 2, 1)
-    again = sweep("atoms", 2, 2, 1)
+    once = list(sweep("atoms", 2, 2, 1))
+    again = list(sweep("atoms", 2, 2, 1))
     assert once == again
     assert all(ok for _, ok, _ in once)
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,8 @@ from conftest import (atom_oracle, char_oracle, expand_in_atoms_solve,
                       product_oracle, schur_oracle)
 from skyline.errors import (LengthMismatch, NonIntegralCoefficient, NotInSpan,
                             TooManyParts, TooManyRows, VariableCountMismatch)
-from skyline.lrrules import _qs_index
+from skyline import poly
+from skyline.lrrules import _qs_index, verify_qs_theorem
 from skyline.cli import main
 from skyline.poly import (Polynomial, _peel, atom_poly, char_poly, clear_caches,
                           expand_in_atoms, qs_poly, schur_poly)
@@ -237,6 +239,30 @@ def test_qs_stability():
             p = qs_poly(beta, n)
             assert Polynomial(n - 1, {e[:-1]: c for e, c in p.terms.items()
                                       if e[-1] == 0}) == qs_poly(beta, n - 1)
+
+
+def test_qs_poly_memoizes_only_left_justified_atoms():
+    # the memo keeps the chain of each QS index padded with zeros; every
+    # other placement lives only as long as its qs_poly call
+    clear_caches()
+    p = qs_poly((2, 1, 2), 6)
+    atoms = [g for g, atom in poly._demazure_cache if atom]
+    assert atoms and all(0 not in g[:len(g) - g.count(0)] for g in atoms)
+    # the same sum of atoms, cold and with every placement memoized
+    total = Polynomial.zero(6)
+    for g in placements((2, 1, 2), 6):
+        total = total + atom_poly(g, 6)
+    assert p == total == qs_poly((2, 1, 2), 6)
+    # so the peel of the n=6 anchor stays small
+    clear_caches()
+    tracemalloc.start()
+    try:
+        assert verify_qs_theorem((3, 2, 1), (3, 2, 1), 6).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    clear_caches()
+    assert peak < 2 * 2 ** 20, peak
 
 
 def test_generating_functions_homogeneous():
