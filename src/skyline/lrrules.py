@@ -29,7 +29,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .errors import NotInSpan, ShapeMismatch, SizeMismatch
 from .enumgen import _lr_counts
 from .fillings import BasementKind
-from .poly import _caches, _peel, atom_poly, char_poly, qs_poly, schur_poly
+from .poly import (_caches, _peel, atom_poly, char_poly, keeping_placements, qs_poly,
+                   schur_poly)
 from .shapes import (Composition, Partition, WeakComposition, comp_bruhat_geq,
                      compositions, pad, partition_of, partitions, placements,
                      rearrangements, reverse, strongof, weak_compositions)
@@ -455,12 +456,13 @@ def sweep(suite: str, max_n: int, max_size: int, max_lambda: int
     """Run one verification suite, yielding (instance label, ok, detail)
     as each instance is checked, in deterministic order; an unknown suite
     raises ValueError at once.  No result is kept; the memo keeps the
-    tables, atoms and characters, and of each QS index only its first
-    placement, until clear_caches."""
+    tables, atoms and characters, and of each QS index its first
+    placement, until clear_caches, and its other placements, which the
+    suite reads again, until the suite ends."""
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     instances, fields, check = _SUITES[suite]
-    return ((" ".join([suite] + [f"{name}={_fmt(x)}"
-                                 for name, x in zip(fields, inst)]),
-             *_outcome(check(*inst)))
-            for inst in instances(max_n, max_size, max_lambda))
+    return keeping_placements(
+        (" ".join([suite] + [f"{name}={_fmt(x)}" for name, x in zip(fields, inst)]),
+         *_outcome(check(*inst)))
+        for inst in instances(max_n, max_size, max_lambda))

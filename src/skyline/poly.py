@@ -6,8 +6,9 @@ Atoms and characters come from the Demazure operators (isobaric divided
 differences), Schur polynomials are the characters at increasing indices,
 and quasisymmetric Schur polynomials are sums of atoms.  The Demazure
 memo keeps the operator chains of the atoms and characters asked for,
-and of each QS index only that of its first placement: a peel asks for
-each QS index once, so no other placement outlives its call.  No tableau is
+and of each QS index that of its first placement; its other placements
+are kept only in `keeping_placements`, which a sweep opens, as a sweep
+asks for a QS index many times and a single peel once.  No tableau is
 enumerated here: the skyline-filling and contretableau enumerators, which
 count the LR coefficients, serve as the test oracle for these
 polynomials, so each LR rule is checked against an independent
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import json
 from heapq import heapify, heappop, heappush
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (LengthMismatch, NonIntegralCoefficient, NotInSpan,
                      TooManyParts, TooManyRows, VariableCountMismatch)
@@ -325,6 +326,24 @@ def _isobaric(p: Polynomial, i: int, atom: bool) -> Polynomial:
 # rearrangement is kept, so related indices share their work.
 _demazure_cache: dict[tuple[tuple[int, ...], bool], Polynomial] = {}
 
+# The atoms of the QS placements after the first, while `_keepers` runs of
+# `keeping_placements` are open.
+_placement_cache: dict[tuple[int, ...], Polynomial] = {}
+_keepers = 0
+
+
+def keeping_placements(results: Iterable) -> Iterator:
+    """Yield from `results`, keeping the atom of every QS placement that
+    qs_poly builds meanwhile until the last such run ends."""
+    global _keepers
+    _keepers += 1
+    try:
+        yield from results
+    finally:
+        _keepers -= 1
+        if not _keepers:
+            _placement_cache.clear()
+
 
 def _demazure(g: tuple[int, ...], atom: bool) -> Polynomial:
     """The atom A_g (`atom`) or the character kappa_g, from operators.
@@ -388,16 +407,16 @@ def qs_poly(a: Sequence[int], n: int) -> Polynomial:
     which memoizes its chain.  Every later placement g has a first i with
     g_i = 0 < g_{i+1}, and s_i g is an earlier placement, so A_g =
     pi-bar_i A_{s_i g} is one step from an atom at hand.  Those atoms are
-    read from the memo when it has them, and otherwise live only as long
-    as this call: the memo gains no placement but the first."""
+    read from the memo when it has them, and else kept for this call, or
+    while `keeping_placements` runs."""
     a = Composition(a)
     if len(a) > n:
         raise TooManyParts(f"composition {tuple(a)} has more than {n} parts")
     keys: dict[int, int] = {}
     get = keys.get
-    atoms: dict[tuple[int, ...], Polynomial] = {}
+    atoms = _placement_cache if _keepers else {}
     for g in placements(a, n):
-        p = _demazure_cache.get((g, True))
+        p = atoms.get(g) or _demazure_cache.get((g, True))
         if p is None:
             i = next((i for i in range(n - 1) if g[i] == 0 < g[i + 1]), None)
             p = (_demazure(tuple(g), True) if i is None else
@@ -468,7 +487,7 @@ def expand_in_atoms(p: Polynomial) -> dict[WeakComposition, int]:
 
 # Every memo of the package, so that clear_caches reaches them all; a module
 # that keeps one appends it here.
-_caches: list[dict] = [_demazure_cache]
+_caches: list[dict] = [_demazure_cache, _placement_cache]
 
 
 def clear_caches():

@@ -11,7 +11,7 @@ from conftest import (atom_oracle, char_oracle, expand_in_atoms_solve,
 from skyline.errors import (LengthMismatch, NonIntegralCoefficient, NotInSpan,
                             TooManyParts, TooManyRows, VariableCountMismatch)
 from skyline import poly
-from skyline.lrrules import _qs_index, verify_qs_theorem
+from skyline.lrrules import _qs_index, sweep, verify_qs_theorem
 from skyline.cli import main
 from skyline.poly import (Polynomial, _peel, atom_poly, char_poly, clear_caches,
                           expand_in_atoms, qs_poly, schur_poly)
@@ -263,6 +263,22 @@ def test_qs_poly_memoizes_only_left_justified_atoms():
         tracemalloc.stop()
     clear_caches()
     assert peak < 2 * 2 ** 20, peak
+
+
+def test_qs_sweep_builds_each_atom_once(monkeypatch):
+    # a sweep asks for the same QS index again and again: it keeps every
+    # placement it builds until it ends, so no operator step is repeated
+    built = []
+    isobaric = poly._isobaric
+    def step(p, i, atom):
+        built.append((isobaric(p, i, atom), atom))
+        return built[-1][0]
+    monkeypatch.setattr(poly, "_isobaric", step)
+    clear_caches()
+    assert all(ok for _, ok, _ in sweep("qs", 3, 3, 2))
+    assert built and len(built) == len(set(built))
+    assert not poly._placement_cache
+    clear_caches()
 
 
 def test_generating_functions_homogeneous():
