@@ -260,7 +260,8 @@ class Filling:
             kind = BasementKind(data["basement"])
         except ValueError:
             raise InvalidFilling(f"unknown basement {data['basement']!r}") from None
-        if data.get("n", shape.nrows) != shape.nrows:
+        n = data.get("n", shape.nrows)
+        if isinstance(n, bool) or n != shape.nrows:
             raise InvalidFilling("n must equal the number of rows")
         return cls(shape, kind, data["rows"])
 

@@ -4,11 +4,11 @@ characters, and quasisymmetric Schur polynomials.
 
 Atoms and characters come from the Demazure operators (isobaric divided
 differences), Schur polynomials are the characters at increasing indices,
-and quasisymmetric Schur polynomials are sums of atoms.  The Demazure
-memo keeps the operator chains of the atoms and characters asked for,
-and of each QS index that of its first placement; its other placements
-are kept only in `keeping_placements`, which a sweep opens, as a sweep
-asks for a QS index many times and a single peel once.  No tableau is
+and quasisymmetric Schur polynomials are sums of atoms.  Until
+clear_caches, the memo keeps the operator chains of the atoms and
+characters asked for and of each QS index's first placement, and each QS
+polynomial asked for again whose placements were not all in it: a peel
+asks for each index once, a sweep again and again.  No tableau is
 enumerated here: the skyline-filling and contretableau enumerators, which
 count the LR coefficients, serve as the test oracle for these
 polynomials, so each LR rule is checked against an independent
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 from heapq import heapify, heappop, heappush
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import (LengthMismatch, NonIntegralCoefficient, NotInSpan,
                      TooManyParts, TooManyRows, VariableCountMismatch)
@@ -326,23 +326,9 @@ def _isobaric(p: Polynomial, i: int, atom: bool) -> Polynomial:
 # rearrangement is kept, so related indices share their work.
 _demazure_cache: dict[tuple[tuple[int, ...], bool], Polynomial] = {}
 
-# The atoms of the QS placements after the first, while `_keepers` runs of
-# `keeping_placements` are open.
-_placement_cache: dict[tuple[int, ...], Polynomial] = {}
-_keepers = 0
-
-
-def keeping_placements(results: Iterable) -> Iterator:
-    """Yield from `results`, keeping the atom of every QS placement that
-    qs_poly builds meanwhile until the last such run ends."""
-    global _keepers
-    _keepers += 1
-    try:
-        yield from results
-    finally:
-        _keepers -= 1
-        if not _keepers:
-            _placement_cache.clear()
+# QS polynomials by (index, n): None once an index is built from an atom
+# the Demazure memo lacked, and the polynomial once it is so built again.
+_qs_cache: dict[tuple[tuple[int, ...], int], Polynomial | None] = {}
 
 
 def _demazure(g: tuple[int, ...], atom: bool) -> Polynomial:
@@ -356,7 +342,8 @@ def _demazure(g: tuple[int, ...], atom: bool) -> Polynomial:
     polynomials small, where the first ascent can build one of 132,802
     terms on the way to the monomial A_(0,1,...,9).  The chain is walked
     iteratively, so no index meets the recursion limit.  Every index on
-    it is memoized; `qs_poly` asks here only for its first placement.
+    it is memoized until clear_caches; `qs_poly` asks here only for its
+    first placement.
     """
     chain = []
     while (g, atom) not in _demazure_cache:
@@ -407,24 +394,34 @@ def qs_poly(a: Sequence[int], n: int) -> Polynomial:
     which memoizes its chain.  Every later placement g has a first i with
     g_i = 0 < g_{i+1}, and s_i g is an earlier placement, so A_g =
     pi-bar_i A_{s_i g} is one step from an atom at hand.  Those atoms are
-    read from the memo when it has them, and else kept for this call, or
-    while `keeping_placements` runs."""
+    read from the Demazure memo when it has them, and else kept for this
+    call only.  When some were not, the sum is memoized the second time
+    (a, n) is asked for: a peel asks for each index once, and a sweep
+    whose atoms suite filled the memo keeps no second copy."""
     a = Composition(a)
     if len(a) > n:
         raise TooManyParts(f"composition {tuple(a)} has more than {n} parts")
+    memo = _qs_cache.get((a, n))
+    if memo is not None:
+        return memo
     keys: dict[int, int] = {}
     get = keys.get
-    atoms = _placement_cache if _keepers else {}
+    atoms: dict[tuple[int, ...], Polynomial] = {}
+    built = False
     for g in placements(a, n):
-        p = atoms.get(g) or _demazure_cache.get((g, True))
+        p = _demazure_cache.get((g, True))
         if p is None:
+            built = True
             i = next((i for i in range(n - 1) if g[i] == 0 < g[i + 1]), None)
             p = (_demazure(tuple(g), True) if i is None else
                  _isobaric(atoms[g[:i] + (g[i + 1], 0) + g[i + 2:]], i, True))
         atoms[g] = p
         for k, c in p._keys.items():
             keys[k] = get(k, 0) + c  # atoms are positive: no term cancels
-    return Polynomial._trusted(n, _width(a.size), keys)
+    p = Polynomial._trusted(n, _width(a.size), keys)
+    if built:
+        _qs_cache[a, n] = p if (a, n) in _qs_cache else None
+    return p
 
 
 def _peel(p: Polynomial, lead: Callable[[tuple[int, ...]], object],
@@ -487,7 +484,7 @@ def expand_in_atoms(p: Polynomial) -> dict[WeakComposition, int]:
 
 # Every memo of the package, so that clear_caches reaches them all; a module
 # that keeps one appends it here.
-_caches: list[dict] = [_demazure_cache, _placement_cache]
+_caches: list[dict] = [_demazure_cache, _qs_cache]
 
 
 def clear_caches():

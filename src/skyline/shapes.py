@@ -17,13 +17,14 @@ from .errors import IncomparableShapes, InvalidShape, NoSuchPart, SizeMismatch
 
 def _as_ints(values: Sequence) -> tuple[int, ...]:
     """The values as ints, rejecting a number with a fractional part
-    (1.7) instead of truncating it; strings go through int() unchanged.
-    Raises ValueError, OverflowError or TypeError as int() does."""
+    (1.7) instead of truncating it, and a bool, which is not read as 0
+    or 1; strings go through int() unchanged.  Raises ValueError,
+    OverflowError or TypeError as int() does."""
     values = tuple(values)
     ints = tuple(map(int, values))
-    if ints != values:
+    if ints != values or bool in map(type, values):
         for v, i in zip(values, ints):
-            if i != v and not isinstance(v, str):
+            if isinstance(v, bool) or i != v and not isinstance(v, str):
                 raise ValueError(f"{v!r} is not a whole number")
     return ints
 

@@ -286,6 +286,12 @@ HUGE = "99999999999999999999"  # larger than sys.maxsize
     (["count", "lrs", "--outer", HUGE, "--inner", str(int(HUGE) - 1),
       "--content", "1"], None),
     (["expand", "atoms", "--shape", HUGE, "--lambda", "1", "--n", "1"], None),
+    # a JSON boolean is not an integer
+    (["render"], '{"shape": [1], "rows": [[true]]}'),
+    (["render"], '{"shape": {"outer": [1], "inner": [0]}, "basement": "ident", '
+                 '"n": 1, "rows": [[true]]}'),
+    (["render"], '{"shape": {"outer": [1], "inner": [0]}, "basement": "ident", '
+                 '"n": true, "rows": [[1]]}'),
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, argv, stdin):
     if stdin is not None:

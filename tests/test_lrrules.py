@@ -2,6 +2,7 @@ import inspect
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (coeff_a_oracle, coeff_b_oracle, coeff_classical_oracle,
                       coeff_qs_oracle, consistency_oracle)
@@ -161,6 +162,31 @@ def test_verify_qs_theorem_samples():
     assert verify_qs_theorem((1,), (1,), 2).ok
     assert verify_qs_theorem((2, 1), (2,), 3).ok
     assert verify_qs_theorem((1, 2), (), 3).ok
+
+
+# QS instances past the exhaustive envelope: n = 7 or 8, |alpha| <= 5 and
+# |lam| <= 4
+QS_PAST_ENVELOPE = st.tuples(
+    st.integers(1, 5).flatmap(lambda k: st.sampled_from(list(compositions(k)))),
+    st.integers(0, 4).flatmap(lambda k: st.sampled_from(list(partitions(k)))),
+    st.sampled_from([7, 8]))
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@example(((1, 2, 1, 1), (2, 1, 1), 7))
+@example(((1, 1, 1, 1, 1), (2, 2), 8))
+@example(((2, 3), (1,), 8))
+@given(QS_PAST_ENVELOPE)
+def test_qs_rule_past_the_envelope(case):
+    # cold, then warm: the second call asks for each QS index again and
+    # memoizes it, and the third reads its left factor and leads there
+    alpha, lam, n = case
+    clear_caches()
+    cold = verify_qs_theorem(alpha, lam, n)
+    warm = verify_qs_theorem(alpha, lam, n)
+    assert poly._qs_cache[alpha, n] is not None
+    assert cold.ok and cold == warm == verify_qs_theorem(alpha, lam, n)
+    clear_caches()
 
 
 def test_qs_rectangle_expansion_matches_classical():

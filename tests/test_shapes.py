@@ -40,8 +40,8 @@ def test_constructors_return_their_own_class_unchanged():
 
 
 def test_public_functions_validate_plain_tuples():
-    for bad in ((1, -1), (1.5,)):
-        for fn in (strongof, partition_of, lambda g: pad(g, 3),
+    for bad in ((1, -1), (1.5,), (True, False)):
+        for fn in (WeakComposition, strongof, partition_of, lambda g: pad(g, 3),
                    lambda g: list(rearrangements(g, 3))):
             with pytest.raises(InvalidShape):
                 fn(bad)
