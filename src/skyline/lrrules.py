@@ -89,9 +89,6 @@ def coeff_classical(mu: Sequence[int], lam: Sequence[int], nu: Sequence[int]) ->
     mu, lam, nu = Partition(mu), Partition(lam), Partition(nu)
     if len(mu) > len(nu) or any(m > v for m, v in zip(mu, nu)):
         raise ShapeMismatch(f"{tuple(mu)} not contained in {tuple(nu)}")
-    if nu.size != mu.size + lam.size:
-        raise ShapeMismatch(
-            f"|nu| = {nu.size} != |mu|+|lam| = {mu.size + lam.size}")
     n = max(len(nu), len(lam), 1)
     return _skyline_coeff("k", reverse(pad(mu, n)), lam, reverse(pad(nu, n)))
 

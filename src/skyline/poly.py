@@ -26,14 +26,15 @@ x_{i+1}, which changes only the field S_{i+1}; and the order of the ints
 is the order of the peel: degree first, then the suffix sums
 lexicographically, which extends suffix-sum dominance, the order in
 which each basis here is unitriangular (see `_peel`).  Exponent tuples
-stay at the public edge: `Polynomial.terms` and every argument and
-result outside this module use them.
+stay at the public edge: `Polynomial.terms`, a read-only view decoded
+per read, and every argument and result outside this module use them.
 """
 
 from __future__ import annotations
 
 import json
 from heapq import heapify, heappop, heappush
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .errors import (LengthMismatch, NonIntegralCoefficient, NotInSpan,
@@ -88,18 +89,19 @@ def _repack(keys: dict[int, int], n: int, w: int, to: int) -> dict[int, int]:
 class Polynomial:
     """A polynomial in x_1..x_n.
 
-    `terms` maps exponent vectors to nonzero coefficients.  Inside this
-    module each term is keyed by one int that packs the exponent's
-    suffix sums (see the module docstring); `terms` is decoded from those
-    keys once, when first read.  Zero coefficients are never stored and
-    the width of the key's fields is a function of the largest degree
-    present, so `==` is exact structural equality.  Instances are
-    immutable by convention; all operations return new values.
+    Each term is keyed by one int that packs the exponent's suffix sums
+    (see the module docstring); those keys are all it holds, and `terms`
+    is a read-only view decoded from them on each read.  No coefficient
+    is 0 and the field width is a function of the largest degree, so
+    `==` is exact structural equality.  Instances are immutable by
+    convention; all operations return new values.
     """
 
-    __slots__ = ("n", "_w", "_keys", "_terms")
+    __slots__ = ("n", "_w", "_keys")
 
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], int] | None = None):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise VariableCountMismatch(f"{n!r} is not a number of variables")
         self.n = n
         clean: dict[tuple[int, ...], int] = {}
         if terms:
@@ -122,7 +124,6 @@ class Polynomial:
                 clean[e] = c
         self._w = w = _width(max(map(sum, clean), default=0))
         self._keys = {_pack(e, w): c for e, c in clean.items()}
-        self._terms = clean
 
     @classmethod
     def _trusted(cls, n: int, w: int, keys: dict[int, int]) -> "Polynomial":
@@ -138,18 +139,14 @@ class Polynomial:
         self.n = n
         self._w = w
         self._keys = keys
-        self._terms = None
         return self
 
     @property
-    def terms(self) -> dict[tuple[int, ...], int]:
-        """Exponent vector -> coefficient, decoded from the keys when first
-        read and then kept; changing this dict does not change p."""
-        terms = self._terms
-        if terms is None:
-            n, w = self.n, self._w
-            terms = self._terms = {_unpack(k, n, w): c for k, c in self._keys.items()}
-        return terms
+    def terms(self) -> Mapping[tuple[int, ...], int]:
+        """Exponent vector -> coefficient: a read-only view, decoded from
+        the keys on each read, so a loop should read it once."""
+        n, w = self.n, self._w
+        return MappingProxyType({_unpack(k, n, w): c for k, c in self._keys.items()})
 
     def _at(self, w: int) -> dict[int, int]:
         """The keys at width w >= self._w."""
@@ -235,21 +232,23 @@ class Polynomial:
     # -- structure --------------------------------------------------------
 
     def coefficient(self, e: Sequence[int]) -> int:
-        return self.terms.get(tuple(e), 0)
-
-    def _components(self) -> dict[int, dict[int, int]]:
-        """The keyed terms by degree, read from the top field."""
-        n, w = self.n, self._w
-        comps: dict[int, dict[int, int]] = {}
-        for k, c in self._keys.items():
-            comps.setdefault(_degree(k, n, w), {})[k] = c
-        return comps
+        """The coefficient of x^e, from its key; 0 when e has the wrong
+        length, a part not a whole number or negative, or too high a degree."""
+        try:
+            e = _as_ints(e)
+        except (ValueError, OverflowError):
+            return 0
+        if len(e) != self.n or min(e, default=0) < 0 or sum(e) >= 1 << self._w:
+            return 0
+        return self._keys.get(_pack(e, self._w), 0)
 
     def degree_components(self) -> dict[int, dict[tuple[int, ...], int]]:
         """Split into homogeneous components keyed by total degree."""
         n, w = self.n, self._w
-        return {d: {_unpack(k, n, w): c for k, c in comp.items()}
-                for d, comp in self._components().items()}
+        comps: dict[int, dict[tuple[int, ...], int]] = {}
+        for k, c in self._keys.items():
+            comps.setdefault(_degree(k, n, w), {})[_unpack(k, n, w)] = c
+        return comps
 
     # -- presentation -------------------------------------------------------
 
@@ -257,10 +256,10 @@ class Polynomial:
         return sorted(self.terms.items())
 
     def __str__(self):
-        if not self.terms:
+        if not self._keys:
             return "0"
         parts = []
-        for e, c in sorted(self.terms.items(), reverse=True):
+        for e, c in reversed(self.sorted_terms()):
             mono = "*".join(
                 f"x{i + 1}" if x == 1 else f"x{i + 1}^{x}"
                 for i, x in enumerate(e) if x)
@@ -437,41 +436,43 @@ def _peel(p: Polynomial, lead: Callable[[tuple[int, ...]], object],
     coefficient.  Within one degree the keys share their top field and
     compare as the vectors of the other suffix sums do, lexicographically,
     a linear extension of that dominance; so the largest key left is
-    always a maximal monomial.  The candidates sit in a heap of negated
-    keys; an entry whose monomial has cancelled is skipped when it comes
-    up, and a key is decoded only to ask for its lead.  Raises NotInSpan
-    when p is not in the span.
+    always a maximal monomial.  The basis is homogeneous, so one heap of
+    keys serves all degrees: with the fields below the degree flipped,
+    its least entry is the largest key of the lowest degree left.
+    Cancelled entries are skipped, and a key is decoded only to ask for
+    its lead.  Raises NotInSpan when p is not in the span.
     """
     n, w = p.n, p._w
+    low = (1 << w * (n - 1)) - 1 if n else 0  # the fields below the degree
+    work = dict(p._keys)
+    heap = [k ^ low for k in work]
+    heapify(heap)
     result: dict = {}
-    for _, work in sorted(p._components().items()):
-        heap = [-k for k in work]
-        heapify(heap)
-        rounds = 0
-        while heap:
-            k = -heappop(heap)
-            c = work.get(k)
-            if c is None:
-                continue
-            rounds += 1
-            if rounds > 10 ** 6:
-                raise NotInSpan("the expansion did not terminate")
-            e = _unpack(k, n, w)
-            index = lead(e)
-            if index is None:
-                raise NotInSpan(f"no basis element leads with the monomial {e}")
-            for m, cm in basis(index, n)._at(w).items():
-                old = work.get(m)
-                nc = (old or 0) - c * cm
-                if not nc:
-                    del work[m]
-                else:
-                    if old is None:
-                        heappush(heap, -m)
-                    work[m] = nc
-            if k in work:
-                raise NotInSpan(f"leading monomial {e} failed to cancel")
-            result[index] = c
+    rounds = 0
+    while heap:
+        k = heappop(heap) ^ low
+        c = work.get(k)
+        if c is None:
+            continue
+        rounds += 1
+        if rounds > 10 ** 6:
+            raise NotInSpan("the expansion did not terminate")
+        e = _unpack(k, n, w)
+        index = lead(e)
+        if index is None:
+            raise NotInSpan(f"no basis element leads with the monomial {e}")
+        for m, cm in basis(index, n)._at(w).items():
+            old = work.get(m)
+            nc = (old or 0) - c * cm
+            if not nc:
+                del work[m]
+            else:
+                if old is None:
+                    heappush(heap, m ^ low)
+                work[m] = nc
+        if k in work:
+            raise NotInSpan(f"leading monomial {e} failed to cancel")
+        result[index] = c
     return result
 
 

@@ -1,5 +1,6 @@
 import inspect
 import sys
+from operator import le
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -87,6 +88,10 @@ def test_coeff_classical_small():
     assert total == 8
     with pytest.raises(ShapeMismatch):
         coeff_classical((2,), (1,), (1, 1))
+    for mu, lam, nu in [((1,), (1,), (3,)), ((1,), (1,), (1,)),
+                        ((2, 1), (1,), (2, 1, 1, 1)), ((), (2,), (3, 1))]:
+        with pytest.raises(ShapeMismatch):  # |nu| != |mu| + |lam|
+            coeff_classical(mu, lam, nu)
 
 
 def test_coeff_classical_symmetry():
@@ -187,6 +192,53 @@ def test_qs_rule_past_the_envelope(case):
     assert poly._qs_cache[alpha, n] is not None
     assert cold.ok and cold == warm == verify_qs_theorem(alpha, lam, n)
     clear_caches()
+
+
+@st.composite
+def skyline_products(draw):
+    """An atom or character product past the exhaustive envelope: gamma
+    in n = 7 or 8 rows, its 1 to 5 cells put in rows drawn at random, and
+    lam of 1 to 4 cells."""
+    n = draw(st.sampled_from([7, 8]))
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5))
+    lam = draw(st.integers(1, 4).flatmap(lambda k: st.sampled_from(list(partitions(k)))))
+    return tuple(map(rows.count, range(n))), lam
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@example(((0, 2, 0, 1, 0, 0, 1), (2, 1)))
+@example(((1, 0, 0, 0, 0, 0, 2, 0), (2, 2)))
+@example(((0, 0, 0, 0, 0, 0, 0), (1, 1, 1)))
+@given(skyline_products())
+def test_skyline_rules_past_the_envelope(case):
+    # both rules on one product, cold and then warm from the query memo
+    gamma, lam = case
+    n = len(gamma)
+    clear_caches()
+    for verify in (verify_atom_theorem, verify_char_theorem):
+        cold = verify(gamma, lam, n)
+        assert cold.ok and cold.enumerated and cold == verify(gamma, lam, n)
+    clear_caches()
+
+
+@st.composite
+def classical_triples(draw):
+    """A partition nu of 1 to 8 cells, mu inside it, and lam of the
+    remaining size."""
+    nu = draw(st.integers(1, 8).flatmap(lambda k: st.sampled_from(list(partitions(k)))))
+    mu = draw(st.sampled_from([mu for m in range(nu.size + 1) for mu in partitions(m)
+                               if len(mu) <= len(nu) and all(map(le, mu, nu))]))
+    return mu, draw(st.sampled_from(list(partitions(nu.size - mu.size)))), nu
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@example(((2, 1), (2, 1), (3, 2, 1)))
+@example(((3, 1), (2, 1, 1), (4, 3, 1)))
+@example(((2, 2), (2, 1, 1), (3, 3, 1, 1)))
+@given(classical_triples())
+def test_coeff_classical_past_the_envelope(case):
+    mu, lam, nu = case
+    assert coeff_classical(mu, lam, nu) == coeff_classical_oracle(mu, lam, nu)
 
 
 def test_qs_rectangle_expansion_matches_classical():

@@ -58,6 +58,14 @@ def test_booleans_are_not_integers():
         Polynomial.from_json({"n": 1, "terms": [{"e": [True], "c": 1}]})
     with pytest.raises(NonIntegralCoefficient):
         Polynomial.from_json({"n": 1, "terms": [{"e": [1], "c": True}]})
+    # the variable count is a non-negative int, whether or not terms check it
+    for n in (True, False, 2.0, -1, "2", None):
+        with pytest.raises(VariableCountMismatch):
+            Polynomial(n)
+    with pytest.raises(VariableCountMismatch):
+        Polynomial.from_json({"n": True, "terms": [{"e": [1], "c": 1}]})
+    with pytest.raises(VariableCountMismatch):
+        Polynomial.from_json({"n": 2.0, "terms": [{"e": [1, 0], "c": 1}]})
 
 
 small_polys = st.builds(
@@ -420,14 +428,45 @@ def test_expand_in_atoms_two_degrees():
         _peel(Polynomial.monomial((1, 2)), WeakComposition,
               lambda g, n: Polynomial.monomial((0, 3)))
     assert str(exc.value) == "leading monomial (1, 2) failed to cancel"
+    with pytest.raises(NotInSpan) as exc:  # the lowest degree fails first
+        _peel(Polynomial.monomial((1, 2)) + Polynomial.monomial((1, 0)), WeakComposition,
+              lambda g, n: Polynomial.monomial((0, sum(g))))
+    assert str(exc.value) == "leading monomial (1, 0) failed to cancel"
 
 
 def test_terms_are_exponent_tuples():
     p = atom_poly((0, 2, 1), 3) * schur_poly((1,), 3)
     assert p.terms and all(isinstance(e, tuple) and len(e) == 3 for e in p.terms)
-    assert p.coefficient((1, 2, 1)) == 2
+    assert p.coefficient((1, 2, 1)) == p.coefficient([1, 2, 1]) == 2
+    assert p.coefficient((1.0, 2, 1)) == 2
+    assert all(p.coefficient(e) == c for e, c in p.terms.items())
+    # a wrong length, a negative part, a degree past the width of the keys
     assert p.coefficient((1, 2)) == p.coefficient((1, 2, 1, 0)) == 0
+    assert Polynomial.one(2).coefficient(()) == Polynomial.one(2).coefficient((0,)) == 0
+    assert p.coefficient((2, 3, -1)) == p.coefficient((-1, 3, 2)) == 0
+    assert p.coefficient((1.5, 1.5, 1)) == p.coefficient((True, 2, 1)) == 0
+    assert Polynomial.monomial((1, 0)).coefficient((-255, 256)) == 0  # packs as x1's key
+    assert p.coefficient((256, 0, 0)) == p.coefficient((0, 0, 1 << 20)) == 0
+    wide = Polynomial.monomial((300, 0))
+    assert wide.coefficient((300, 0)) == 1 and wide.coefficient((0, 1 << 9)) == 0
     assert Polynomial.zero(3).coefficient((0, 0, 0)) == 0
+    assert Polynomial.one(0).coefficient(()) == 1
+
+
+def test_terms_is_a_read_only_view(capsys):
+    # writing into the terms of a memoized atom neither succeeds nor
+    # changes what later reads of that atom see
+    clear_caches()
+    p = atom_poly((0, 1), 2)
+    with pytest.raises(TypeError):
+        p.terms[(1, 0)] = 0
+    with pytest.raises(TypeError):
+        del p.terms[(0, 1)]
+    assert dict(p.terms) == {(0, 1): 1}
+    assert main("compute atom --shape 0,1 --n 2".split()) == 0
+    assert capsys.readouterr().out == "x2\n"
+    assert str(atom_poly((0, 1), 2)) == "x2"
+    assert not hasattr(p, "__dict__") and Polynomial.__slots__ == ("n", "_w", "_keys")
 
 
 def test_equal_polynomials_from_every_path_hash_equal():
